@@ -505,17 +505,6 @@ fn bench_fidelity_ab(n: u32, per_pair: u64, scheds: &[Vec<SuperStep>]) -> (Fidel
 
 // --------------------------------------------------------------- output
 
-/// The workspace root. This binary is built both from `crates/bench` and
-/// from the root package, so walk up from the manifest dir to the first
-/// ancestor holding the workspace `ROADMAP.md`.
-fn repo_root() -> std::path::PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .find(|d| d.join("ROADMAP.md").is_file())
-        .unwrap_or(manifest)
-        .to_path_buf()
-}
 
 struct Report {
     quick: bool,
@@ -645,7 +634,7 @@ fn main() {
     init_fidelity_env();
     let quick = quick_mode();
     let check = std::env::args().any(|a| a == "--check");
-    let json_path = repo_root().join("BENCH_engine.json");
+    let json_path = vnet_bench::out_dir().join("BENCH_engine.json");
 
     // In --check mode read the committed baseline *before* overwriting it.
     let baseline_speedup = if check {

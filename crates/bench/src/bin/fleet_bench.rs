@@ -252,16 +252,6 @@ fn run_row(hosts: u32, fidelity: &str, shards: u32, quick: bool) -> Row {
 
 // ----------------------------------------------------------- parent side
 
-/// The workspace root (walk up to the first ancestor with `ROADMAP.md`;
-/// this binary is built both from `crates/bench` and the root package).
-fn repo_root() -> std::path::PathBuf {
-    let manifest = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .ancestors()
-        .find(|d| d.join("ROADMAP.md").is_file())
-        .unwrap_or(manifest)
-        .to_path_buf()
-}
 
 /// Pull `"key": <number>` out of machine-written JSON without a parser
 /// dependency.
@@ -392,7 +382,7 @@ fn main() {
     }
 
     let check = args.iter().any(|a| a == "--check");
-    let json_path = repo_root().join("BENCH_fleet.json");
+    let json_path = vnet_bench::out_dir().join("BENCH_fleet.json");
 
     // In --check mode read the committed baseline *before* overwriting it.
     let baseline_gate = if check {

@@ -15,8 +15,8 @@
 //!
 //! Every campaign runs with the invariant auditor on and must finish
 //! with zero violations and every client reply delivered exactly once.
-//! Rows carry `seed`, `shards`, and `driver` so any row can be
-//! reproduced exactly; results are byte-identical for any shard count.
+//! Rows carry `seed` and `shards` so any row can be reproduced
+//! exactly; results are byte-identical for any shard count.
 //! Accepts `--shards <n>` (or `VNET_SHARDS`) like every bench binary.
 
 use std::sync::Arc;
@@ -284,7 +284,6 @@ fn main() {
             "bounced msgs",
             "seed",
             "shards",
-            "driver",
         ],
     );
     for plan in plans() {

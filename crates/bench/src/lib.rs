@@ -3,8 +3,9 @@
 //!
 //! Every binary regenerates one table or figure of the paper's §6
 //! evaluation and writes both a human-readable table to stdout and a CSV
-//! under `results/`. Pass `--quick` to any binary for a shortened run
-//! (used in CI and smoke tests).
+//! under `results/` in the working directory (or under `--out <dir>`).
+//! Pass `--quick` to any binary for a shortened run (used in CI and
+//! smoke tests).
 
 use std::fs;
 use std::path::PathBuf;
@@ -86,13 +87,23 @@ impl Table {
     }
 }
 
-/// The `results/` directory next to the workspace root (falls back to cwd).
+/// Where a bench binary writes its outputs: the `--out <dir>` argument
+/// when given, else the working directory. Never derived from where the
+/// binary was built, so a binary run from a copy of the tree (or from
+/// anywhere else) cannot overwrite the tree it was compiled in.
+pub fn out_dir() -> PathBuf {
+    let args: Vec<String> = std::env::args().collect();
+    match args.iter().position(|a| a == "--out") {
+        Some(i) => PathBuf::from(
+            args.get(i + 1).unwrap_or_else(|| panic!("--out requires a directory argument")),
+        ),
+        None => PathBuf::from("."),
+    }
+}
+
+/// The `results/` directory under [`out_dir`].
 pub fn results_dir() -> PathBuf {
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop(); // crates/
-    p.pop(); // workspace root
-    p.push("results");
-    p
+    out_dir().join("results")
 }
 
 /// Whether `--quick` was passed (shortened runs for CI).
@@ -131,28 +142,11 @@ pub fn init_shards_env() {
     }
 }
 
-/// The epoch-driver name in effect for parallel runs, mirroring the
-/// `VNET_PAR_DRIVER` resolution in `vnet_sim::parallel` (`threads` or
-/// `serial`; the auto default picks `serial` only on single-core
-/// machines). Benches record this in their CSV rows alongside the seed
-/// and shard count so any row can be reproduced exactly.
-pub fn par_driver() -> String {
-    match std::env::var("VNET_PAR_DRIVER").as_deref() {
-        Ok("threads") => "threads".to_string(),
-        Ok("serial") => "serial".to_string(),
-        _ => {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            if cores == 1 { "serial".to_string() } else { "threads".to_string() }
-        }
-    }
-}
-
-/// The three reproducibility cells every campaign-style bench appends to
-/// its rows: `seed` (hex), resolved `shards`, and the epoch `driver`.
-/// Pair with a `repro_header()`-style `["seed", "shards", "driver"]`
-/// suffix in the table header.
+/// The reproducibility cells every campaign-style bench appends to its
+/// rows: `seed` (hex) and resolved `shards`. Pair with a
+/// `["seed", "shards"]` suffix in the table header.
 pub fn repro_cells(seed: u64, shards: u32) -> Vec<String> {
-    vec![format!("{seed:#x}"), shards.to_string(), par_driver()]
+    vec![format!("{seed:#x}"), shards.to_string()]
 }
 
 /// The fidelity spec passed via `--fidelity <spec>`, if any. The spec

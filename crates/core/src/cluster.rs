@@ -9,28 +9,32 @@ use crate::names::NameService;
 use crate::observe::ClusterTelemetry;
 use crate::sys::ThreadBody;
 use crate::user::EpQuota;
-use crate::world::{ctl_key, Event, HostSlot, World};
+use crate::world::{ctl_key, EmitTimes, Event, HostSlot, World};
 use std::cell::Cell;
 use vnet_net::{FaultOp, HostId, Packet, Partition, Phase1};
 use vnet_nic::{EpId, Frame, GlobalEp, Nic, NicOut, ProtectionKey};
 use vnet_os::{OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::{
-    run_conservative, AuditHandle, Engine, PairLookahead, ParShard, SendCell, SimDuration,
-    SimTime, INGRESS_KEY_BIT,
+    run_conservative, AuditHandle, Engine, PairLookahead, ParShard, SendCell, ShardEpochs,
+    SimDuration, SimTime, INGRESS_KEY_BIT,
 };
 
 /// Parallel-execution state, present when the configuration asks for more
 /// than one shard: the stable host partition, the per-shard-pair lookahead
-/// derived from it (sliced by fault-campaign interval), plus one
-/// *persistent* engine per shard. Engines persist across runs because
-/// events already in a shard's wheel may share `Rc` state with that
-/// shard's hosts; the partition never changes, so each host always returns
-/// to the engine holding its pending events.
+/// derived from it (sliced by fault-campaign interval, with the NIC's
+/// firmware delay as relay delay), plus one *persistent* engine per shard
+/// and the times of the emitting events pending in it. Engines persist
+/// across runs because events already in a shard's wheel may share `Rc`
+/// state with that shard's hosts; the partition never changes, so each
+/// host always returns to the engine holding its pending events.
 struct Par {
     part: Partition,
     look: PairLookahead,
     engines: Vec<Engine<World>>,
+    emits: Vec<EmitTimes>,
+    /// Running epoch totals per shard.
+    epochs: Vec<ShardEpochs>,
 }
 
 /// One worker shard while a parallel run is in flight: the shard's
@@ -48,12 +52,20 @@ impl ParShard for ShardRun {
     // message body.
     type Mail = (u64, bool, Packet<Frame>);
 
-    fn run_until(&mut self, deadline: SimTime) {
-        self.engine.run_until(&mut self.world, deadline);
+    fn run_until(&mut self, deadline: SimTime) -> u64 {
+        self.engine.run_until(&mut self.world, deadline)
     }
 
     fn next_at_bound(&self) -> Option<SimTime> {
         self.engine.next_at_bound()
+    }
+
+    fn next_emit_at(&self) -> Option<SimTime> {
+        self.world.emits.next()
+    }
+
+    fn set_output_bound(&mut self, bound: SimTime) {
+        self.world.emits.floor = bound;
     }
 
     fn drain_outbox(&mut self, out: &mut Vec<(usize, SimTime, Self::Mail)>) {
@@ -64,6 +76,12 @@ impl ParShard for ShardRun {
     }
 
     fn ingest(&mut self, at: SimTime, (key, corrupt, pkt): Self::Mail) {
+        debug_assert!(
+            at > self.engine.now(),
+            "cross-shard mail at {}ns lands at or behind the receiver's horizon {}ns",
+            at.as_nanos(),
+            self.engine.now().as_nanos()
+        );
         self.engine.schedule_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
     }
 
@@ -119,11 +137,20 @@ impl Cluster {
         } else {
             world.cfg.faults.compile(topo)
         };
-        let look = part.pair_lookahead(topo, &world.cfg.net, &ops);
-        let par = (part.shards() > 1).then(|| Par {
-            engines: (0..part.shards()).map(|_| Engine::new()).collect(),
-            part,
-            look,
+        let par = (part.shards() > 1).then(|| {
+            // Every frame leaves a full host through a firmware step, so
+            // shards publish output bounds a firmware delay past their
+            // next event (DESIGN §11); abstract hosts or zero-cost
+            // firmware make that delay zero.
+            let relay = world.relay_delay();
+            let n = part.shards() as usize;
+            Par {
+                look: part.pair_lookahead(topo, &world.cfg.net, &ops).with_relay(relay),
+                engines: (0..n).map(|_| Engine::new()).collect(),
+                emits: (0..n).map(|_| EmitTimes::new(relay)).collect(),
+                epochs: vec![ShardEpochs::default(); n],
+                part,
+            }
         });
         let mut c = Cluster {
             engine: Engine::new(),
@@ -179,6 +206,22 @@ impl Cluster {
     /// clamping the configured count to what the topology supports).
     pub fn shards(&self) -> u32 {
         self.par.as_ref().map_or(1, |p| p.part.shards())
+    }
+
+    /// The relay delay the parallel executor's output bounds use: the
+    /// NIC's minimum firmware delay before a frame can leave, or zero
+    /// when some host can inject with no delay (abstract hosts, zero-cost
+    /// firmware) or the cluster runs sequentially. See DESIGN §11.
+    pub fn relay_delay(&self) -> SimDuration {
+        self.par.as_ref().map_or(SimDuration::ZERO, |p| p.look.relay())
+    }
+
+    /// Running totals of the parallel executor's epoch schedule, one entry
+    /// per shard (empty when the cluster runs sequentially): windows run
+    /// and windows that processed no event. Deterministic for a given
+    /// configuration, like the simulated results.
+    pub fn epoch_stats(&self) -> &[ShardEpochs] {
+        self.par.as_ref().map_or(&[], |p| &p.epochs)
     }
 
     /// Fluent construction: `Cluster::builder().hosts(32).telemetry(true)
@@ -408,7 +451,7 @@ impl Cluster {
     /// Fold every abstract host's served-request latency histogram into
     /// one cluster-wide [`LogHistogram`] (arrival at the source → `o_r`
     /// cleared at the server). Host-order accumulation of a commutative
-    /// merge: byte-identical for any shard count or epoch driver.
+    /// merge: byte-identical for any shard count.
     pub fn open_loop_latency(&self) -> LogHistogram {
         let mut all = LogHistogram::default();
         for h in 0..self.world.hosts() {
@@ -565,8 +608,9 @@ impl Cluster {
                 let worlds = self.world.split_shards(&par.part);
                 let mut shards: Vec<SendCell<ShardRun>> = worlds
                     .into_iter()
-                    .zip(par.engines.drain(..))
-                    .map(|(world, engine)| {
+                    .zip(par.engines.drain(..).zip(par.emits.drain(..)))
+                    .map(|(mut world, (engine, emits))| {
+                        world.emits = emits;
                         // SAFETY: the shard world + its engine's pending
                         // events form one closed `Rc` graph (cross-shard
                         // frames share only atomically counted frozen
@@ -578,11 +622,15 @@ impl Cluster {
                         }
                     })
                     .collect();
-                let final_now = run_conservative(&mut shards, &par.look, deadline);
+                let run = run_conservative(&mut shards, &par.look, deadline);
+                for (total, e) in par.epochs.iter_mut().zip(&run.epochs) {
+                    total.add(*e);
+                }
                 let mut worlds = Vec::with_capacity(shards.len());
                 for cell in shards {
-                    let ShardRun { engine, world, .. } = cell.into_inner();
+                    let ShardRun { engine, mut world, .. } = cell.into_inner();
                     par.engines.push(engine);
+                    par.emits.push(std::mem::take(&mut world.emits));
                     worlds.push(world);
                 }
                 // The executor's final-epoch elision may leave cross-shard
@@ -602,7 +650,7 @@ impl Cluster {
                     }
                 }
                 self.world.absorb_shards(worlds, &par.part);
-                self.engine.sync_now(final_now);
+                self.engine.sync_now(run.now);
                 let after: u64 = par.engines.iter().map(|e| e.events_processed()).sum();
                 after - before
             }
@@ -697,6 +745,9 @@ impl Cluster {
         for o in outs {
             match o {
                 NicOut::After(d, ev) => {
+                    // Set-up paths only kick the firmware; an emitting
+                    // event here would escape the shards' output bounds.
+                    debug_assert!(!ev.emits(), "set-up path scheduled emitting {ev:?}");
                     self.sched_ev(d, Event::Nic { host: host as u32, ev });
                 }
                 NicOut::Inject(pkt) => match self.world.fabric.inject_src(now, pkt) {

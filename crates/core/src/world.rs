@@ -16,7 +16,8 @@ use crate::model::{
 use crate::sys::{Step, Sys, ThreadBody};
 use crate::user::UserEpState;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 use vnet_net::{FaultOp, FaultPlan, HostId, Packet, Partition, Phase1, RouteOracle, Topology};
@@ -197,6 +198,67 @@ struct CpuState {
     busy_until: SimTime,
 }
 
+/// Output-bound bookkeeping for the parallel executor (DESIGN §11): the
+/// times of every scheduled NIC event that may inject a packet at its own
+/// timestamp ([`NicEvent::emits`]), so a shard can publish the earliest
+/// instant it could put a packet on a cross-shard link. Inert while the
+/// relay delay is zero — on sequential worlds, and whenever some event
+/// may inject with no firmware delay (abstract hosts, zero-cost
+/// firmware) — so the sequential hot path pays one branch per event.
+#[derive(Default)]
+pub(crate) struct EmitTimes {
+    /// The relay delay `R` ([`NicConfig::min_emit_delay`]); zero = off.
+    relay: SimDuration,
+    /// Times of the scheduled emitting events (a min-heap; each is popped
+    /// when its event is dispatched).
+    due: BinaryHeap<Reverse<SimTime>>,
+    /// Set while the effects of an emitting NIC event are applied.
+    in_emitting: bool,
+    /// The output bound published for the running epoch: no cross-shard
+    /// injection may happen earlier.
+    pub(crate) floor: SimTime,
+}
+
+impl EmitTimes {
+    /// Tracking with relay delay `relay` (zero leaves it off).
+    pub(crate) fn new(relay: SimDuration) -> Self {
+        EmitTimes { relay, ..EmitTimes::default() }
+    }
+
+    /// The earliest scheduled emitting event.
+    pub(crate) fn next(&self) -> Option<SimTime> {
+        self.due.peek().map(|r| r.0)
+    }
+
+    /// Note the dispatch of NIC event `ev` at `now`; returns whether it
+    /// is an emitting one, which leaves the heap (events fire in time
+    /// order, so it is the minimum).
+    #[inline]
+    fn dispatched(&mut self, now: SimTime, ev: &NicEvent) -> bool {
+        if self.relay == SimDuration::ZERO || !ev.emits() {
+            return false;
+        }
+        let due = self.due.pop();
+        debug_assert_eq!(due, Some(Reverse(now)), "emitting event missing from the heap");
+        true
+    }
+
+    /// Note a NIC event scheduled `d` after `now`.
+    #[inline]
+    fn scheduled(&mut self, now: SimTime, d: SimDuration, ev: &NicEvent) {
+        if self.relay == SimDuration::ZERO || !ev.emits() {
+            return;
+        }
+        debug_assert!(
+            self.in_emitting || d >= self.relay,
+            "emitting {ev:?} scheduled {}ns after a non-emitting event (relay delay {}ns)",
+            d.as_nanos(),
+            self.relay.as_nanos()
+        );
+        self.due.push(Reverse(now + d));
+    }
+}
+
 /// The world-owned context a [`HostModel`] works against while handling
 /// one event: the shared fabric, the rendezvous key table, observability
 /// sinks, and this world's host-ownership window (for routing injected
@@ -208,6 +270,7 @@ pub struct HostEnv<'a> {
     pub(crate) trace: &'a TraceHandle,
     pub(crate) auditor: &'a AuditHandle,
     pub(crate) outbox: &'a mut Vec<(SimTime, u64, bool, Packet<Frame>)>,
+    pub(crate) emits: &'a mut EmitTimes,
     pub(crate) base: u32,
     pub(crate) len: u32,
 }
@@ -231,6 +294,12 @@ impl HostEnv<'_> {
                 if self.owns(pkt.dst.0) {
                     ctx.schedule_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
                 } else {
+                    debug_assert!(
+                        now >= self.emits.floor,
+                        "cross-shard injection at {}ns before the published output bound {}ns",
+                        now.as_nanos(),
+                        self.emits.floor.as_nanos()
+                    );
                     // Crossing a shard boundary: the frame payload is a
                     // frozen `Arc`, so the epoch barrier moves a pointer —
                     // no copy of the message body.
@@ -275,6 +344,7 @@ impl FullHost {
         for o in outs {
             match o {
                 NicOut::After(d, ev) => {
+                    env.emits.scheduled(ctx.now(), d, &ev);
                     ctx.schedule(d, Event::Nic { host: gh, ev });
                 }
                 NicOut::Inject(pkt) => env.inject(ctx.now(), pkt, ctx),
@@ -504,9 +574,12 @@ impl HostModel for FullHost {
     fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>) {
         match ev {
             Event::Nic { ev, .. } => {
+                let emitting = env.emits.dispatched(ctx.now(), &ev);
                 let mut outs = Vec::new();
                 self.nic.on_event(ctx.now(), ev, &mut outs);
+                env.emits.in_emitting = emitting;
                 self.apply_nic(gh, outs, env, ctx);
+                env.emits.in_emitting = false;
             }
             Event::Os { ev, .. } => {
                 let mut outs = Vec::new();
@@ -641,6 +714,10 @@ pub struct World {
     /// it owns every host — and drained at each epoch barrier by the
     /// parallel executor.
     pub(crate) outbox: Vec<(SimTime, u64, bool, Packet<Frame>)>,
+    /// Scheduled emitting-event times of a shard world (see
+    /// [`EmitTimes`]); lent in for each parallel run by the cluster, which
+    /// keeps one per shard next to the shard's persistent engine.
+    pub(crate) emits: EmitTimes,
 }
 
 impl World {
@@ -741,7 +818,23 @@ impl World {
             oracle,
             base: 0,
             outbox: Vec::new(),
+            emits: EmitTimes::default(),
         }
+    }
+
+    /// The relay delay `R` of the parallel executor's output bounds: the
+    /// NIC's [`NicConfig::min_emit_delay`], or zero when any host is
+    /// abstract (an abstract host's send events inject at their own
+    /// timestamp).
+    pub(crate) fn relay_delay(&self) -> SimDuration {
+        self.hosts
+            .iter()
+            .map(|s| match s {
+                HostSlot::Full(f) => f.nic.config().min_emit_delay(),
+                HostSlot::Abstract(_) => SimDuration::ZERO,
+            })
+            .min()
+            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Mutable access to the debug trace (call `.enable()` to record).
@@ -887,9 +980,10 @@ impl World {
     /// an event handler (same split-borrow shape as [`World::dispatch`]).
     fn ctl_apply_os(&mut self, h: usize, outs: Vec<OsOut>, ctx: &mut Ctx<'_, Event>) {
         let gh = self.gh(h);
-        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, base, .. } = self;
+        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, emits, base, .. } = self;
         let len = hosts.len() as u32;
-        let mut env = HostEnv { cfg, fabric, keys, trace, auditor, outbox, base: *base, len };
+        let mut env =
+            HostEnv { cfg, fabric, keys, trace, auditor, outbox, emits, base: *base, len };
         let HostSlot::Full(f) = &mut hosts[h] else { return };
         f.apply_os(gh, outs, &mut env, ctx);
     }
@@ -1024,9 +1118,10 @@ impl World {
     /// dispatch.
     fn dispatch(&mut self, h: usize, ev: Event, ctx: &mut Ctx<'_, Event>) {
         let gh = self.gh(h);
-        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, base, .. } = self;
+        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, emits, base, .. } = self;
         let len = hosts.len() as u32;
-        let mut env = HostEnv { cfg, fabric, keys, trace, auditor, outbox, base: *base, len };
+        let mut env =
+            HostEnv { cfg, fabric, keys, trace, auditor, outbox, emits, base: *base, len };
         hosts[h].on_event(gh, ev, &mut env, ctx);
     }
 
@@ -1178,6 +1273,7 @@ impl World {
             key_rng: self.key_rng.clone(),
             base: lo,
             outbox: Vec::new(),
+            emits: EmitTimes::default(),
         }
     }
 
@@ -1202,6 +1298,7 @@ impl World {
                 key_rng: _,
                 base,
                 outbox,
+                emits: _,
             } = shard;
             debug_assert!(outbox.is_empty(), "cross-shard mail left unpublished");
             // Every shard's control copy evolved identically; adopt the

@@ -158,6 +158,26 @@ pub struct NicConfig {
 }
 
 impl NicConfig {
+    /// The smallest delay between a NIC event that cannot inject a packet
+    /// at its own timestamp and the earliest injection it can cause. Only
+    /// [`crate::NicEvent::emits`] events put frames on the wire at their
+    /// own time; everything else reaches the wire through a firmware step
+    /// whose frames leave when the step completes, so the bound is the
+    /// cheapest step that can emit (`send_small`, `recv_small`,
+    /// `send_bulk_finish`, `recv_bulk_finish`, `retransmit`). A coalesced
+    /// ack flush armed outside a step fires after the `ack_coalesce`
+    /// window, which is folded in too. Zero when any of these is zero
+    /// (the GAM preset's `retransmit`): then nothing is known.
+    pub fn min_emit_delay(&self) -> SimDuration {
+        let c = &self.costs;
+        let step =
+            [c.send_small, c.recv_small, c.send_bulk_finish, c.recv_bulk_finish, c.retransmit]
+                .into_iter()
+                .min()
+                .unwrap();
+        self.ack_coalesce.map_or(step, |w| step.min(w))
+    }
+
     /// The paper's virtual-network interface with the default 8 frames.
     pub fn virtual_network() -> Self {
         NicConfig {
@@ -224,6 +244,16 @@ mod tests {
         let vn = FwCosts::virtual_network();
         let gv = (vn.send_small + vn.ack + vn.recv_small).as_nanos() as f64;
         assert!((gv / g.as_nanos() as f64 - 2.21).abs() < 0.01);
+    }
+
+    #[test]
+    fn min_emit_delay_is_the_cheapest_emitting_step() {
+        let vn = NicConfig::virtual_network();
+        assert_eq!(vn.min_emit_delay(), SimDuration::from_nanos(2_000), "send_bulk_finish");
+        let coalesced =
+            NicConfig { ack_coalesce: Some(SimDuration::from_nanos(1_500)), ..vn.clone() };
+        assert_eq!(coalesced.min_emit_delay(), SimDuration::from_nanos(1_500));
+        assert_eq!(NicConfig::gam().min_emit_delay(), SimDuration::ZERO, "GAM retransmit costs 0");
     }
 
     #[test]

@@ -67,6 +67,19 @@ pub enum NicEvent {
     },
 }
 
+impl NicEvent {
+    /// Whether handling this event may put a packet on the wire at the
+    /// event's own timestamp. Every other NIC event reaches the wire at
+    /// least [`NicConfig::min_emit_delay`] later, through a firmware step
+    /// (the parallel executor's output bound rests on this split).
+    pub fn emits(&self) -> bool {
+        matches!(
+            self,
+            NicEvent::EmitPkt(_) | NicEvent::DepositSmall { .. } | NicEvent::FlushAcks { .. }
+        )
+    }
+}
+
 /// What a completed DMA was doing.
 #[derive(Clone, Debug)]
 pub enum DmaTag {

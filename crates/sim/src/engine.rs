@@ -157,8 +157,16 @@ impl<W: SimWorld> Engine<W> {
     }
 
     /// Keyed counterpart of [`Engine::schedule`] at an absolute time; see
-    /// [`Ctx::schedule_keyed_at`].
+    /// [`Ctx::schedule_keyed_at`]. Cross-shard ingress arrives here, so
+    /// debug builds panic on a past timestamp — it would mean a lookahead
+    /// violation, and the release-build clamp would silently reorder it.
     pub fn schedule_keyed_at(&mut self, at: SimTime, key: u64, ev: W::Event) -> EventId {
+        debug_assert!(
+            at >= self.now,
+            "schedule_keyed_at into the past: at={}ns < now={}ns",
+            at.as_nanos(),
+            self.now.as_nanos()
+        );
         self.wheel.schedule_keyed(at.max(self.now), key, ev)
     }
 

@@ -39,8 +39,7 @@ pub use audit::{AuditCounters, AuditHandle, Auditor, EpPhase, MsgFate, TraceHand
 pub use engine::{Ctx, Engine, EventId, SimWorld};
 pub use fxhash::{fx_map_with_capacity, FxHashMap, FxHashSet, FxHasher};
 pub use parallel::{
-    run_conservative, run_conservative_with, Driver, PairLookahead, ParShard, SendCell,
-    INGRESS_KEY_BIT,
+    run_conservative, PairLookahead, ParRun, ParShard, SendCell, ShardEpochs, INGRESS_KEY_BIT,
 };
 pub use telemetry::{
     CounterHandle, GaugeHandle, HistogramHandle, MetricSet, MetricValue, MetricVisitor,

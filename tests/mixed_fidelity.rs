@@ -5,8 +5,8 @@
 //! recovery) while abstract hosts stream background traffic through the
 //! same faulty fabric.
 //!
-//! CI runs this under `VNET_SHARDS` ∈ {1, 4} and both epoch drivers; the
-//! test deliberately leaves the shard count to the environment.
+//! CI runs this under `VNET_SHARDS` ∈ {1, 4}; the test deliberately
+//! leaves the shard count to the environment.
 
 use vnet::net::{FaultScheduleSpec, GilbertElliott, LinkId, TopologySpec};
 use vnet::prelude::*;

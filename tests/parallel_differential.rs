@@ -7,9 +7,13 @@
 //! small fat tree), including a faulty-link configuration whose drops
 //! force cross-shard retransmissions.
 
+use vnet::apps::bsp::{launch_job, BspApp, BspRunner, SuperStep};
+use vnet::apps::collectives;
 use vnet::net::{FaultScheduleSpec, GilbertElliott, LinkId, TopologySpec};
+use vnet::os::Tid;
 use vnet::prelude::*;
 use vnet::sim::MsgFate;
+use vnet::Cluster;
 
 /// Echo server: replies to every request, retrying under backpressure.
 struct Echo {
@@ -516,9 +520,7 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
 }
 
 /// Satellite: mixed-fidelity determinism. A fixed-seed 4-full +
-/// 12-abstract world must be byte-identical across shard counts 1/2/4 —
-/// and, through the CI matrix's `VNET_PAR_DRIVER` axis, under both epoch
-/// drivers (this test, like the whole suite, runs once per driver there).
+/// 12-abstract world must be byte-identical across shard counts 1/2/4.
 #[test]
 fn mixed_fidelity_matches_sequential() {
     for &seed in &[7u64, 0xBEEF] {
@@ -652,9 +654,7 @@ fn run_open_loop(seed: u64, shards: u32) -> OpenLoopOutcome {
 
 /// Satellite: open-loop workload determinism. A fixed-seed 32-host
 /// open-loop fleet must produce byte-identical metrics — every abstract
-/// counter and every latency-histogram bucket — at 1, 2, and 4 shards,
-/// and (through the CI matrix's `VNET_PAR_DRIVER` axis) under both epoch
-/// drivers.
+/// counter and every latency-histogram bucket — at 1, 2, and 4 shards.
 #[test]
 fn open_loop_matches_sequential() {
     for &seed in &[7u64, 0xF1EE7] {
@@ -709,5 +709,342 @@ fn asymmetric_trunk_campaign_matches_sequential() {
             "every client must finish despite the campaign (seed {seed:#x}): {:?}",
             seq.replies
         );
+    }
+}
+
+// ------------------------------------------------- relay-delay lookahead
+
+/// Replays a fixed BSP schedule (one all-to-all exchange).
+struct Replay(Vec<SuperStep>);
+
+impl BspApp for Replay {
+    fn step(&mut self, _rank: usize, _nranks: usize, step: u64) -> Option<SuperStep> {
+        self.0.get(step as usize).cloned()
+    }
+}
+
+/// Everything a BSP run observably produces.
+#[derive(Debug, PartialEq)]
+struct BulkOutcome {
+    events: u64,
+    now_ns: u64,
+    /// Per rank: (finish time, messages sent, bounces, supersteps).
+    ranks: Vec<(u64, u64, u64, u64)>,
+    ledger: Vec<(u64, MsgFate)>,
+    violations: u64,
+    /// Cluster-wide NIC counters: data sent, retransmits, queue-full NACKs.
+    nic: (u64, u64, u64),
+}
+
+/// A 32-host crossbar all-to-all of `per_pair` bytes per pair in 8 KB
+/// messages, run in 10 ms slices until every rank is done. Returns the
+/// outcome and the cluster (for its epoch accounting).
+fn run_bulk(cfg: ClusterConfig, hosts: u32, per_pair: u64) -> (BulkOutcome, Cluster) {
+    let mut c = Cluster::new(cfg);
+    let ids: Vec<HostId> = (0..hosts).map(HostId).collect();
+    let ranks = launch_job(&mut c, &ids, |r| {
+        let mut s = Vec::new();
+        collectives::alltoall(&mut s, r, hosts as usize, per_pair, 8192);
+        Replay(s)
+    });
+    let rank = |c: &Cluster, (h, t, _): (HostId, Tid, GlobalEp)| -> (u64, u64, u64, u64, bool) {
+        let b: &BspRunner<Replay> = c.body(h, t).expect("BSP rank");
+        let st = &b.stats;
+        (st.finished.map_or(0, |t| t.as_nanos()), st.msgs_sent, st.bounces, st.steps, b.is_done())
+    };
+    for _ in 0..100 {
+        c.run_for(SimDuration::from_millis(10));
+        if ranks.iter().all(|&k| rank(&c, k).4) {
+            break;
+        }
+    }
+    assert!(ranks.iter().all(|&k| rank(&c, k).4), "the all-to-all must finish");
+    let snap = c.telemetry().snapshot();
+    let sum = |m: &str| (0..hosts).map(|h| snap.counter(&format!("host{h}.nic.{m}"))).sum::<u64>();
+    let a = c.auditor();
+    let out = BulkOutcome {
+        events: c.events_processed(),
+        now_ns: c.now().as_nanos(),
+        ranks: ranks.iter().map(|&k| rank(&c, k)).map(|(f, m, b, s, _)| (f, m, b, s)).collect(),
+        ledger: a.borrow().ledger_snapshot(),
+        violations: a.borrow().total_violations(),
+        nic: (sum("data_sent"), sum("retransmits"), sum("nacks_rx_queue_full")),
+    };
+    (out, c)
+}
+
+/// Tentpole: a bulk all-to-all on full-fidelity hosts runs under the
+/// firmware relay delay (R > 0: output bounds sit a firmware step past
+/// each shard's next event) and must stay byte-identical to the
+/// sequential run at every shard count — with the debug-build checks
+/// live that every cross-shard injection is at or after its shard's
+/// published output bound and every ingest lands past the receiver's
+/// horizon.
+#[test]
+fn bulk_all_to_all_with_relay_delay_matches_sequential() {
+    let cfg = |shards| ClusterConfig::now(16).with_seed(0xB01C).with_shards(shards);
+    let (seq, _) = run_bulk(cfg(1), 16, 24_576);
+    assert!(seq.nic.0 > 0);
+    for shards in [2, 4, 8] {
+        let (par, c) = run_bulk(cfg(shards), 16, 24_576);
+        assert_eq!(c.shards(), shards);
+        assert_eq!(c.relay_delay(), SimDuration::from_nanos(2_000), "VN firmware relay delay");
+        assert_eq!(seq.ranks, par.ranks, "rank results, {shards} shards");
+        assert_eq!(seq.nic, par.nic, "NIC counters, {shards} shards");
+        assert_eq!(seq.events, par.events, "event count, {shards} shards");
+        assert_eq!(seq.now_ns, par.now_ns, "final clock, {shards} shards");
+        assert_eq!(seq.ledger, par.ledger, "audit ledger, {shards} shards");
+        assert_eq!(seq.violations, par.violations, "violations, {shards} shards");
+    }
+}
+
+/// The 2-shard bulk-32 epoch schedule (one all-to-all round of 16 KB per
+/// pair). Before output bounds the executor ran 77,364 epochs on this
+/// run (30,085 of them empty on shard 0); with the relay delay and the
+/// balanced cap it runs 31,747 (3,199 empty). The count must stay under
+/// half the old one, and the schedule is a pure function of the
+/// configuration.
+#[test]
+fn bulk32_epoch_count_halved_and_deterministic() {
+    const BEFORE: u64 = 77_364;
+    let cfg = || ClusterConfig::now(32).with_seed(0xB01C).with_audit(false).with_shards(2);
+    let (a, ca) = run_bulk(cfg(), 32, 16_384);
+    let (b, cb) = run_bulk(cfg(), 32, 16_384);
+    assert_eq!(a, b);
+    let epochs = ca.epoch_stats().to_vec();
+    assert_eq!(epochs.len(), 2);
+    assert_eq!(epochs, cb.epoch_stats(), "epoch schedule must be deterministic");
+    // Every shard runs a window in every epoch.
+    assert_eq!(epochs[0].epochs, epochs[1].epochs);
+    assert!(
+        epochs[0].epochs < BEFORE / 2,
+        "{} epochs, expected fewer than half of {BEFORE}",
+        epochs[0].epochs
+    );
+    assert!(epochs[0].empty < epochs[0].epochs);
+}
+
+/// Ring node for the GAM run: one endpoint per host (GAM keeps a single
+/// endpoint resident) that answers requests from its predecessor and
+/// keeps at most two requests in flight to its successor.
+struct RingNode {
+    ep: EpId,
+    total: u32,
+    sent: u32,
+    replies: u32,
+    sum: u64,
+}
+
+impl ThreadBody for RingNode {
+    fn run(&mut self, sys: &mut Sys<'_>) -> Step {
+        while let Some(m) = sys.poll(self.ep, QueueSel::Request) {
+            if sys.reply(self.ep, &m, 0, m.msg.args, 0).is_err() {
+                return Step::Yield;
+            }
+        }
+        while let Some(m) = sys.poll(self.ep, QueueSel::Reply) {
+            self.replies += 1;
+            self.sum = self.sum.wrapping_add(m.msg.args[0]);
+        }
+        while self.sent < self.total && self.sent - self.replies < 2 {
+            match sys.request(self.ep, 0, 1, [u64::from(self.sent) + 1, 0, 0, 0], 0) {
+                Ok(_) => self.sent += 1,
+                Err(SendError::NoCredit) | Err(SendError::WouldBlock) => return Step::Yield,
+                Err(e) => panic!("send failed: {e:?}"),
+            }
+        }
+        if self.replies == self.total {
+            Step::Exit
+        } else {
+            Step::Yield
+        }
+    }
+}
+
+/// GAM firmware has zero-cost steps, so its relay delay is zero and the
+/// executor falls back to the plain horizon; results stay byte-identical
+/// at every shard count.
+#[test]
+fn gam_mode_zero_relay_matches_sequential() {
+    let run = |shards: u32| {
+        let n = 16;
+        let mut c = Cluster::new(ClusterConfig::gam(n).with_seed(0x6A3).with_shards(shards));
+        let eps: Vec<GlobalEp> = (0..n).map(|h| c.create_endpoint(HostId(h))).collect();
+        for h in 0..n {
+            c.connect(eps[h as usize], 0, eps[((h + 1) % n) as usize]);
+        }
+        let tids: Vec<(HostId, Tid)> = (0..n)
+            .map(|h| {
+                let node =
+                    RingNode { ep: eps[h as usize].ep, total: 12, sent: 0, replies: 0, sum: 0 };
+                (HostId(h), c.spawn_thread(HostId(h), Box::new(node)))
+            })
+            .collect();
+        c.run_for(SimDuration::from_millis(5));
+        let nodes: Vec<(u32, u64)> = tids
+            .iter()
+            .map(|&(h, t)| {
+                let b: &RingNode = c.body(h, t).expect("ring node");
+                (b.replies, b.sum)
+            })
+            .collect();
+        (c.shards(), c.relay_delay(), c.events_processed(), c.now().as_nanos(), nodes)
+    };
+    let (_, _, events, now, nodes) = run(1);
+    assert!(nodes.iter().all(|&(r, s)| r == 12 && s == 78), "ring must finish: {nodes:?}");
+    for shards in [2, 4, 8] {
+        let (used, relay, ev, t, got) = run(shards);
+        assert_eq!(used, shards);
+        assert_eq!(relay, SimDuration::ZERO, "GAM firmware gives no relay delay");
+        assert_eq!((ev, t, &got), (events, now, &nodes), "{shards} shards diverged");
+    }
+}
+
+/// Control-plane client: `total` requests, re-sending any that come back
+/// undeliverable from a migrated-away service.
+struct CtlClient {
+    ep: EpId,
+    total: u32,
+    sent: u32,
+    replies: u32,
+    returned: u32,
+}
+
+impl ThreadBody for CtlClient {
+    fn run(&mut self, sys: &mut Sys<'_>) -> Step {
+        while let Some(m) = sys.poll(self.ep, QueueSel::Reply) {
+            if m.undeliverable {
+                self.returned += 1;
+                self.sent -= 1;
+            } else {
+                self.replies += 1;
+            }
+        }
+        while self.sent < self.total {
+            match sys.request(self.ep, 0, 1, [u64::from(self.sent), 0, 0, 0], 0) {
+                Ok(_) => self.sent += 1,
+                Err(SendError::NoCredit) => return Step::WaitEvent(self.ep),
+                Err(SendError::WouldBlock) => return Step::WaitResident(self.ep),
+                Err(SendError::QuotaExceeded) => return Step::Yield,
+                Err(e) => panic!("send failed: {e:?}"),
+            }
+        }
+        if self.replies >= self.total {
+            Step::Exit
+        } else {
+            Step::WaitEvent(self.ep)
+        }
+    }
+}
+
+/// Everything the control-plane fat-tree run observably produces.
+#[derive(Debug, PartialEq)]
+struct CtlOutcome {
+    events: u64,
+    now_ns: u64,
+    /// (started, completed, failed, reconciles).
+    ctl: (u64, u64, u64, u64),
+    placements: Vec<(u32, u32, u32)>,
+    clients: Vec<(u32, u32)>,
+    ledger: Vec<(u64, MsgFate)>,
+    violations: u64,
+    spans: String,
+    trace: String,
+}
+
+/// An all-full-fidelity 16-host fat tree (8 leaves, so 8 shards are
+/// possible) under a fault campaign — a leaf uplink flap and a degraded
+/// trunk window — while the control plane live-migrates two services
+/// under client traffic. Everything must be byte-identical at 1, 2, 4
+/// and 8 shards with the relay delay in force.
+#[test]
+fn fat_tree_campaign_with_migrations_matches_sequential() {
+    let run = |shards: u32| {
+        let mut cfg =
+            ClusterConfig::now(16).with_seed(0x5EED).with_telemetry(true).with_shards(shards);
+        cfg.topology = TopologySpec::FatTree { leaves: 8, hosts_per_leaf: 2, spines: 2 };
+        // Fat-tree link layout: host-up [0,16), leaf-down [16,32),
+        // leaf-up 32 + l*S + s, spine-down 48 + l*S + s.
+        cfg.faults = FaultScheduleSpec::none()
+            .flap(LinkId(32 + 2 * 2), at_us(1_500), at_us(4_000))
+            .degrade(LinkId(48 + 5 * 2 + 1), at_us(2_000), at_us(6_000), 0.2, 0.0);
+        let mut c = Cluster::new(cfg);
+        c.telemetry().trace_enable();
+        let echo: vnet::corelib::EpFactory = std::sync::Arc::new(|gep| Box::new(Echo::new(gep.ep)));
+        c.install_control(ControlSpec {
+            tenants: vec![TenantSpec {
+                name: "t".into(),
+                max_endpoints: 16,
+                max_bound_channels: 16,
+                bytes_per_epoch: 1_000_000,
+                factory: echo,
+            }],
+            tick_period: SimDuration::from_micros(500),
+            first_tick: at_us(200),
+            horizon: at_us(12_000),
+            outages: Vec::new(),
+            phase_gap: SimDuration::from_micros(800),
+            retry_backoff: SimDuration::from_micros(600),
+            max_attempts: 3,
+            epoch: SimDuration::from_millis(1),
+            placement_pool: (0..16).collect(),
+        });
+        let (sa, _) = c.ctl_create_service(0, HostId(4)).expect("service a");
+        let (sb, _) = c.ctl_create_service(0, HostId(11)).expect("service b");
+        let mut tids = Vec::new();
+        for (host, svc) in [(1u32, sa), (14, sa), (7, sb), (12, sb)] {
+            let (vid, gep) = c.ctl_create_client(0, HostId(host)).expect("client");
+            c.ctl_connect(vid, 0, svc).expect("connect");
+            let body = CtlClient { ep: gep.ep, total: 30, sent: 0, replies: 0, returned: 0 };
+            tids.push((HostId(host), c.spawn_thread(HostId(host), Box::new(body))));
+        }
+        c.ctl_request_migration(sa, Some(HostId(9)));
+        c.ctl_request_migration(sb, None);
+        // Two slices: the boundary lands mid-migration.
+        c.run_for(SimDuration::from_millis(3));
+        c.run_for(SimDuration::from_millis(17));
+        let ctl = c.control().expect("control installed");
+        let a = c.auditor();
+        let out = CtlOutcome {
+            events: c.events_processed(),
+            now_ns: c.now().as_nanos(),
+            ctl: (
+                ctl.migrations_started,
+                ctl.migrations_completed,
+                ctl.migrations_failed,
+                ctl.reconciles,
+            ),
+            placements: ctl.placements().map(|(v, m)| (v, m.host, m.ep.0)).collect(),
+            clients: tids
+                .iter()
+                .map(|&(h, t)| {
+                    let b: &CtlClient = c.body(h, t).expect("client body");
+                    (b.replies, b.returned)
+                })
+                .collect(),
+            ledger: a.borrow().ledger_snapshot(),
+            violations: a.borrow().total_violations(),
+            spans: c.telemetry().handle().map(|t| t.borrow().span_log()).unwrap_or_default(),
+            trace: c.telemetry().trace_text(),
+        };
+        (out, c.shards(), c.relay_delay())
+    };
+    let (seq, _, _) = run(1);
+    assert!(seq.ctl.1 >= 2, "both migrations must complete: {:?}", seq.ctl);
+    assert!(seq.clients.iter().all(|&(r, _)| r == 30), "every client served: {:?}", seq.clients);
+    assert_eq!(seq.violations, 0);
+    for shards in [2, 4, 8] {
+        let (par, used, relay) = run(shards);
+        assert_eq!(used, shards);
+        assert!(relay > SimDuration::ZERO);
+        assert_eq!(seq.ctl, par.ctl, "control counters, {shards} shards");
+        assert_eq!(seq.placements, par.placements, "placements, {shards} shards");
+        assert_eq!(seq.clients, par.clients, "client results, {shards} shards");
+        assert_eq!(seq.events, par.events, "event count, {shards} shards");
+        assert_eq!(seq.now_ns, par.now_ns, "final clock, {shards} shards");
+        assert_eq!(seq.ledger, par.ledger, "audit ledger, {shards} shards");
+        assert_eq!(seq.violations, par.violations, "violations, {shards} shards");
+        assert_eq!(seq.spans, par.spans, "span log, {shards} shards");
+        assert_eq!(seq.trace, par.trace, "trace ring, {shards} shards");
     }
 }
