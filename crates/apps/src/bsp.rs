@@ -95,8 +95,6 @@ pub struct BspRunner<A: BspApp> {
     /// (spin-block; ~2 RTTs of spinning is the implicit co-scheduling
     /// sweet spot).
     spin_polls: u32,
-    /// Diagnostic: the most recent send refusal.
-    pub last_send_err: Option<(u64, &'static str)>,
     /// The last send attempt failed for NI queue space (not credits):
     /// no arrival will signal the drain, so the rank must spin, not sleep.
     queue_blocked: bool,
@@ -119,7 +117,6 @@ impl<A: BspApp> BspRunner<A> {
             pending_replies: Vec::new(),
             idle_polls: 0,
             spin_polls: 12,
-            last_send_err: None,
             queue_blocked: false,
         }
     }
@@ -133,22 +130,6 @@ impl<A: BspApp> BspRunner<A> {
     /// Whether the rank has completed all supersteps.
     pub fn is_done(&self) -> bool {
         matches!(self.phase, Phase::Done)
-    }
-
-    /// Diagnostic: replies stashed under backpressure.
-    pub fn pending_reply_count(&self) -> usize {
-        self.pending_replies.len()
-    }
-
-    /// Diagnostic: progress within the current superstep:
-    /// `(step index, sends issued, sends total, receives counted)`.
-    pub fn progress(&self) -> (u64, usize, usize, u32) {
-        (
-            self.step_idx,
-            self.send_pos,
-            self.cur.sends.len(),
-            self.recv_counts.get(&self.step_idx).copied().unwrap_or(0),
-        )
     }
 
     fn drain(&mut self, sys: &mut Sys<'_>) {
@@ -234,23 +215,12 @@ impl<A: BspApp> BspRunner<A> {
                                 self.stats.msgs_sent += 1;
                                 self.queue_blocked = false;
                             }
-                            Err(SendError::NoCredit) => {
-                                self.last_send_err = Some((self.step_idx, "NoCredit"));
-                                break;
-                            }
-                            Err(SendError::QuotaExceeded) => {
-                                self.last_send_err = Some((self.step_idx, "QuotaExceeded"));
-                                break;
-                            }
+                            Err(SendError::NoCredit) | Err(SendError::QuotaExceeded) => break,
                             Err(SendError::QueueFull) => {
-                                self.last_send_err = Some((self.step_idx, "QueueFull"));
                                 self.queue_blocked = true;
                                 break;
                             }
-                            Err(SendError::WouldBlock) => {
-                                self.last_send_err = Some((self.step_idx, "WouldBlock"));
-                                return Step::WaitResident(self.ep);
-                            }
+                            Err(SendError::WouldBlock) => return Step::WaitResident(self.ep),
                             Err(SendError::BadIndex) | Err(SendError::TooLarge) => {
                                 panic!(
                                     "rank {}: bad superstep send to {dst} (missing translation or oversized message)",

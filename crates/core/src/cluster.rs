@@ -98,6 +98,9 @@ impl ParShard for ShardRun {
     }
 }
 
+/// Span-log events an audit report shows before the first violation.
+const AUDIT_WINDOW: usize = 256;
+
 /// A complete simulated cluster: engine + composed world.
 pub struct Cluster {
     engine: Engine<World>,
@@ -106,7 +109,7 @@ pub struct Cluster {
     names: NameService,
     /// Run [`Cluster::audit`] automatically at every `run_for` /
     /// `run_until` / `settle` boundary in debug builds, panicking on the
-    /// first violation (with a trace dump). On by default; mutation tests
+    /// first violation (with its span-log window). On by default; mutation tests
     /// that *expect* violations turn it off through
     /// `cluster.telemetry().set_debug_audit(false)` and call
     /// [`Cluster::audit`] themselves. A `Cell` so the shared-borrow
@@ -231,9 +234,9 @@ impl Cluster {
     }
 
     /// The unified observability handle: metrics snapshots and deltas,
-    /// Perfetto span export, trace-ring control, and the invariant audit
-    /// — one facade over what used to be scattered across `enable_trace`,
-    /// `trace_text`, `set_debug_audit`, and per-component stats access.
+    /// Perfetto span export, and the invariant audit — one facade over
+    /// what used to be scattered across `set_debug_audit` and
+    /// per-component stats access.
     pub fn telemetry(&self) -> ClusterTelemetry<'_> {
         ClusterTelemetry::new(self)
     }
@@ -290,16 +293,17 @@ impl Cluster {
     /// Check every cross-layer invariant observed so far: exactly-once
     /// delivery, credit conservation, stop-and-wait channel discipline,
     /// and endpoint frame accounting. Returns `Err` with a full report —
-    /// named violations plus a trace dump — on the first check that fails.
+    /// named violations plus the last 256 span-log events at or before
+    /// the first violation — on the first check that fails.
     ///
     /// Also validates the *live* state (not just the event history): the
     /// number of resident endpoints on each NIC can never exceed its frame
     /// count.
     pub fn audit(&self) -> Result<(), String> {
+        use std::fmt::Write;
         let a = self.world.auditor.borrow();
         let mut report = String::new();
         if a.has_violations() {
-            use std::fmt::Write;
             let _ = writeln!(
                 report,
                 "invariant audit failed: {} violation(s) (showing {}):",
@@ -317,7 +321,6 @@ impl Cluster {
             let frames = nic.config().frames;
             let resident = nic.resident_count();
             if resident > frames as usize {
-                use std::fmt::Write;
                 let _ = writeln!(
                     report,
                     "live check failed: h{h} has {resident} resident endpoints in {frames} frames"
@@ -327,15 +330,27 @@ impl Cluster {
         if report.is_empty() {
             return Ok(());
         }
-        let trace = self.world.trace.borrow();
-        if trace.is_enabled() {
-            report.push_str("trace (most recent last):\n");
-            report.push_str(&trace.to_text());
-        } else {
-            report.push_str(
-                "(trace disabled; call cluster.telemetry().trace_enable() for event context)\n",
+        let Some(tel) = &self.world.telemetry else {
+            report.push_str("(no span log; build with .telemetry(true) for event context)\n");
+            return Err(report);
+        };
+        let tel = tel.borrow();
+        // Violations found while merging shards carry no time of their
+        // own (host `u32::MAX`); a live-check failure alone cuts at now.
+        let timed = a.violations().iter().filter(|v| v.host != u32::MAX);
+        let cut = timed.map(|v| v.at).min().unwrap_or(self.now());
+        let _ = writeln!(
+            report,
+            "span log (last {AUDIT_WINDOW} events at or before t={cut}, most recent last):"
+        );
+        if tel.dropped_spans() > 0 {
+            let _ = writeln!(
+                report,
+                "  (telemetry.dropped_spans = {}: the log overflowed; later events are missing)",
+                tel.dropped_spans()
             );
         }
+        report.push_str(&tel.span_log_before(cut, AUDIT_WINDOW));
         Err(report)
     }
 
@@ -657,12 +672,11 @@ impl Cluster {
         }
     }
 
-    /// Run-boundary bookkeeping shared by both executors: put the trace
-    /// ring and the violation list into canonical `(time, host)` order —
-    /// so reads are identical however the run was executed — then run the
-    /// debug-build audit.
+    /// Run-boundary bookkeeping shared by both executors: put the
+    /// violation list into canonical `(time, host)` order — so reads are
+    /// identical however the run was executed — then run the debug-build
+    /// audit.
     fn post_run(&mut self) {
-        self.world.trace.borrow_mut().canonicalize();
         self.world.auditor.borrow_mut().canonicalize_violations();
         self.sync_ctl_keys();
         self.debug_audit_check();

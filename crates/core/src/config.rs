@@ -125,8 +125,8 @@ pub struct ClusterConfig {
     /// fast path performs no auditor hash lookups at all (the auditor is
     /// a passive observer, so results are identical either way).
     pub audit: bool,
-    /// Whether the unified telemetry registry's hooks are attached
-    /// (metrics handles + span tracing; see `Cluster::telemetry`).
+    /// Whether the telemetry hooks are attached (the span log and the
+    /// NIC frame counters; see `Cluster::telemetry`).
     /// Defaults to off: with hooks detached the hot path pays nothing,
     /// and, like the auditor, telemetry is a passive observer — protocol
     /// results are byte-identical either way.
@@ -212,8 +212,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style telemetry-hook override (attach the metrics
-    /// registry and span tracing; see `Cluster::telemetry`).
+    /// Builder-style telemetry-hook override (attach the span log and
+    /// the NIC frame counters; see `Cluster::telemetry`).
     pub fn with_telemetry(mut self, telemetry: bool) -> Self {
         self.telemetry = telemetry;
         self

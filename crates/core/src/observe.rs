@@ -1,8 +1,7 @@
 //! The unified cluster observability handle.
 //!
 //! One entry point — [`crate::cluster::Cluster::telemetry`] — replaces
-//! the former grab-bag of `enable_trace` / `trace_text` /
-//! `set_debug_audit` and per-component stats spelunking:
+//! per-component stats spelunking:
 //!
 //! ```text
 //! let tel = cluster.telemetry();
@@ -18,7 +17,7 @@
 //! Metric names are `host3.nic.retransmits`-style dotted paths: a host
 //! scope (`host{N}`), a layer (`nic`, `os`), and the metric's short name
 //! as enumerated by its [`MetricSet`]. Cluster-wide sets use a bare layer
-//! prefix (`net.packets`, `trace.dropped_events`, `engine.*`).
+//! prefix (`net.packets`, `telemetry.dropped_spans`, `engine.*`).
 
 use crate::cluster::Cluster;
 use vnet_sim::telemetry::{MetricValue, MetricsSnapshot, TelemetryHandle};
@@ -26,8 +25,8 @@ use vnet_sim::telemetry::{MetricValue, MetricsSnapshot, TelemetryHandle};
 /// Borrowed observability facade over a [`Cluster`] (see module docs).
 ///
 /// Cheap to construct; holds no state of its own. All mutation goes
-/// through interior-mutable handles (the trace ring, the debug-audit
-/// flag), so a shared borrow suffices.
+/// through interior-mutable handles (the debug-audit flag), so a shared
+/// borrow suffices.
 pub struct ClusterTelemetry<'a> {
     c: &'a Cluster,
 }
@@ -37,16 +36,16 @@ impl<'a> ClusterTelemetry<'a> {
         ClusterTelemetry { c }
     }
 
-    /// Whether span/handle telemetry hooks are attached
+    /// Whether telemetry hooks are attached
     /// ([`crate::config::ClusterConfig::telemetry`]). Snapshots work
-    /// either way — component stats are always counted; only the
-    /// registry metrics and the Perfetto span log need the hooks.
+    /// either way — component stats are always counted; only the NIC's
+    /// frame/DMA-byte counters and the Perfetto span log need the hooks.
     pub fn enabled(&self) -> bool {
         self.c.world().telemetry.is_some()
     }
 
-    /// The raw telemetry registry handle, when attached (custom metric
-    /// registration, direct span emission from test harnesses).
+    /// The raw span-log handle, when attached (direct span emission from
+    /// test harnesses).
     pub fn handle(&self) -> Option<TelemetryHandle> {
         self.c.world().telemetry.clone()
     }
@@ -55,8 +54,9 @@ impl<'a> ClusterTelemetry<'a> {
     /// simulated time: per-host stats — `host{N}.nic.*` / `host{N}.os.*`
     /// for full-fidelity hosts, coarse `host{N}.abs.*` counters for
     /// abstract ones — fabric aggregates (`net.*`), engine progress
-    /// (`engine.*`), trace-ring drop accounting (`trace.*`), and — when
-    /// telemetry hooks are attached — every registry metric and the
+    /// (`engine.*`), and — when telemetry hooks are attached — the NIC
+    /// frame/DMA-byte counters of every host that moved a frame
+    /// (`host{N}.nic.frames_tx`, `frames_rx`, `dma_bytes`) and the
     /// span-log drop counter (`telemetry.dropped_spans`).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let w = self.c.world();
@@ -74,11 +74,9 @@ impl<'a> ClusterTelemetry<'a> {
             "engine.sim_time_us",
             MetricValue::Gauge(self.c.now().as_micros_f64()),
         );
-        s.record("trace.dropped_events", MetricValue::Counter(w.trace.borrow().dropped()));
         if let Some(tel) = &w.telemetry {
-            let t = tel.borrow();
-            s.record_set("", &*t);
-            s.record("telemetry.dropped_spans", MetricValue::Counter(t.dropped_spans()));
+            let dropped = tel.borrow().dropped_spans();
+            s.record("telemetry.dropped_spans", MetricValue::Counter(dropped));
         }
         s
     }
@@ -109,22 +107,6 @@ impl<'a> ClusterTelemetry<'a> {
     /// Forwards to [`Cluster::audit`].
     pub fn audit(&self) -> Result<(), String> {
         self.c.audit()
-    }
-
-    /// Enable the causal trace ring (ring-buffered text records of
-    /// residency and protocol transitions; see [`Self::trace_text`]).
-    pub fn trace_enable(&self) {
-        self.c.world().trace.borrow_mut().enable();
-    }
-
-    /// Disable the causal trace ring.
-    pub fn trace_disable(&self) {
-        self.c.world().trace.borrow_mut().disable();
-    }
-
-    /// Render the causal trace collected so far.
-    pub fn trace_text(&self) -> String {
-        self.c.world().trace.borrow().to_text()
     }
 
     /// Enable or disable the automatic debug-build invariant audit at

@@ -28,7 +28,7 @@ use vnet_os::{BlockReason, OsEvent, OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::telemetry::MetricsSnapshot;
 use vnet_sim::{
     AuditHandle, Auditor, Ctx, SimDuration, SimRng, SimTime, SimWorld, Telemetry, TelemetryHandle,
-    TraceHandle, TraceRing, INGRESS_KEY_BIT,
+    INGRESS_KEY_BIT,
 };
 
 /// Minimum CPU time charged per thread burst: no user-level loop runs in
@@ -267,7 +267,6 @@ pub struct HostEnv<'a> {
     pub(crate) cfg: &'a ClusterConfig,
     pub(crate) fabric: &'a mut FabricSlot,
     pub(crate) keys: &'a HashMap<GlobalEp, ProtectionKey>,
-    pub(crate) trace: &'a TraceHandle,
     pub(crate) auditor: &'a AuditHandle,
     pub(crate) outbox: &'a mut Vec<(SimTime, u64, bool, Packet<Frame>)>,
     pub(crate) emits: &'a mut EmitTimes,
@@ -390,7 +389,6 @@ impl FullHost {
         ctx: &mut Ctx<'_, Event>,
     ) {
         let wake_cost = env.cfg.os.wake_cost;
-        env.trace.borrow_mut().record_with(ctx.now(), gh, "driver.msg", || format!("{msg:?}"));
         match &msg {
             DriverMsg::Loaded { ep, .. } => {
                 let ep = *ep;
@@ -611,6 +609,9 @@ impl HostModel for FullHost {
 
     fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
         out.record_set(&format!("host{h}.nic"), self.nic.stats());
+        if let Some(t) = self.nic.telemetry() {
+            out.record_set(&format!("host{h}.nic"), t);
+        }
         out.record_set(&format!("host{h}.os"), self.os.stats());
     }
 }
@@ -681,19 +682,15 @@ pub struct World {
     pub fabric: FabricSlot,
     /// Protection keys of every endpoint (the rendezvous snapshot).
     pub keys: HashMap<GlobalEp, ProtectionKey>,
-    /// Debug trace of residency and scheduling transitions; disabled by
-    /// default (enable via [`World::trace_mut`]). Shared with every NIC,
-    /// segment driver, and the auditor so protocol-level events land in one
-    /// causally ordered ring.
-    pub trace: TraceHandle,
     /// Cross-layer invariant auditor; every full-fidelity NIC and segment
     /// driver reports protocol events into it (delivery ledger, credit
     /// conservation, stop-and-wait channel discipline, endpoint frame
     /// accounting). Abstract hosts report nothing.
     pub auditor: AuditHandle,
-    /// Unified telemetry registry (metrics + span tracing). `Some` only
-    /// when [`ClusterConfig::telemetry`] is set; with it absent no
-    /// component holds hooks and the hot path pays nothing.
+    /// The span log every layer (NIC, OS, control plane, auditor) records
+    /// its events into. `Some` only when [`ClusterConfig::telemetry`] is
+    /// set; with it absent no component holds hooks and the hot path pays
+    /// nothing.
     pub telemetry: Option<TelemetryHandle>,
     /// Replicated cluster control plane (coordinator + reconcile loop);
     /// `None` until [`crate::cluster::Cluster::install_control`]. Every
@@ -748,11 +745,11 @@ impl World {
             Mode::Gam => NicMode::Gam,
         };
         let root = SimRng::seed_from_u64(cfg.seed);
-        let trace: TraceHandle = Rc::new(RefCell::new(TraceRing::default()));
+        let telemetry = if cfg.telemetry { Some(Telemetry::handle()) } else { None };
         let auditor = Auditor::handle(cfg.credits);
         {
             let mut a = auditor.borrow_mut();
-            a.set_trace(trace.clone());
+            a.set_telemetry(telemetry.clone());
             // Abstract hosts never report endpoint/frame events, so they
             // need no audit slot — at fleet scale (16k mostly-abstract
             // hosts) registering everyone would buy nothing but heap.
@@ -762,7 +759,6 @@ impl World {
                 }
             }
         }
-        let telemetry = if cfg.telemetry { Some(Telemetry::handle()) } else { None };
         let mut hosts: Vec<HostSlot> = Vec::with_capacity(n);
         for i in 0..n {
             // Every host draws the same derived RNG stream whatever its
@@ -781,8 +777,7 @@ impl World {
                         SegmentDriver::new(cfg.os.clone(), nic_cfg.frames, cfg.seed ^ (i as u64));
                     if cfg.audit {
                         nic.attach_auditor(auditor.clone());
-                        nic.attach_trace(trace.clone());
-                        os.attach_instrumentation(i as u32, auditor.clone(), trace.clone());
+                        os.attach_instrumentation(i as u32, auditor.clone());
                     }
                     if let Some(tel) = &telemetry {
                         nic.attach_telemetry(tel.clone());
@@ -810,7 +805,6 @@ impl World {
             hosts,
             keys: HashMap::new(),
             key_rng: root.derive(0x4B45_5953),
-            trace,
             auditor,
             telemetry,
             cfg,
@@ -835,11 +829,6 @@ impl World {
             })
             .min()
             .unwrap_or(SimDuration::ZERO)
-    }
-
-    /// Mutable access to the debug trace (call `.enable()` to record).
-    pub fn trace_mut(&mut self) -> std::cell::RefMut<'_, TraceRing> {
-        self.trace.borrow_mut()
     }
 
     /// Number of hosts.
@@ -980,10 +969,10 @@ impl World {
     /// an event handler (same split-borrow shape as [`World::dispatch`]).
     fn ctl_apply_os(&mut self, h: usize, outs: Vec<OsOut>, ctx: &mut Ctx<'_, Event>) {
         let gh = self.gh(h);
-        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, emits, base, .. } = self;
+        let World { cfg, fabric, hosts, keys, auditor, outbox, emits, base, .. } = self;
         let len = hosts.len() as u32;
         let mut env =
-            HostEnv { cfg, fabric, keys, trace, auditor, outbox, emits, base: *base, len };
+            HostEnv { cfg, fabric, keys, auditor, outbox, emits, base: *base, len };
         let HostSlot::Full(f) = &mut hosts[h] else { return };
         f.apply_os(gh, outs, &mut env, ctx);
     }
@@ -1092,13 +1081,14 @@ impl World {
             ctx.schedule(CTL_RETIRE_POLL, Event::CtlRetire { host, ep, polls: polls + 1 });
             return;
         }
-        self.trace.borrow_mut().record_with(now, host, "ctl.retire", || {
-            if quiet {
-                format!("ep {} drained after {polls} polls; freeing", ep.0)
+        if let Some(tel) = &self.telemetry {
+            let d = if quiet {
+                format!("ep={} drained after {polls} polls", ep.0)
             } else {
-                format!("ep {} drain bound expired after {polls} polls; forcing free", ep.0)
-            }
-        });
+                format!("ep={} drain bound expired after {polls} polls; forced", ep.0)
+            };
+            tel.borrow_mut().instant(now, host, "net", "ctl_retire", d);
+        }
         if let Some(tid) = self.hosts[h].full_mut(h).ctl_threads.remove(&ep) {
             self.kill_thread(h, tid);
             self.hosts[h].full_mut(h).kick_cpu(host, ctx);
@@ -1118,10 +1108,10 @@ impl World {
     /// dispatch.
     fn dispatch(&mut self, h: usize, ev: Event, ctx: &mut Ctx<'_, Event>) {
         let gh = self.gh(h);
-        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, emits, base, .. } = self;
+        let World { cfg, fabric, hosts, keys, auditor, outbox, emits, base, .. } = self;
         let len = hosts.len() as u32;
         let mut env =
-            HostEnv { cfg, fabric, keys, trace, auditor, outbox, emits, base: *base, len };
+            HostEnv { cfg, fabric, keys, auditor, outbox, emits, base: *base, len };
         hosts[h].on_event(gh, ev, &mut env, ctx);
     }
 
@@ -1211,8 +1201,8 @@ impl World {
     // ------------------------------------------------- parallel sharding
 
     /// Split this world into one world per partition shard, leaving `self`
-    /// an empty husk that retains the canonical fabric, trace, auditor,
-    /// and telemetry. Host slots move wholesale — whatever their fidelity
+    /// an empty husk that retains the canonical fabric, auditor, and span
+    /// log. Host slots move wholesale — whatever their fidelity
     /// — so each shard world is a closed `Rc` graph suitable for
     /// [`vnet_sim::SendCell`].
     pub(crate) fn split_shards(&mut self, part: &Partition) -> Vec<World> {
@@ -1232,21 +1222,6 @@ impl World {
         debug_assert_eq!(self.base, 0, "split_range on a shard world");
         debug_assert_eq!(self.hosts.len(), hi as usize, "shards must split tail-first");
         let mut hosts = self.hosts.split_off(lo as usize);
-        let trace: TraceHandle = Rc::new(RefCell::new(self.trace.borrow().split_shard()));
-        let auditor: AuditHandle = {
-            let mut shard = self.auditor.borrow_mut().split_shard(lo, hi);
-            shard.set_trace(trace.clone());
-            Rc::new(RefCell::new(shard))
-        };
-        if self.cfg.audit {
-            for (i, slot) in hosts.iter_mut().enumerate() {
-                if let HostSlot::Full(f) = slot {
-                    f.nic.attach_auditor(auditor.clone());
-                    f.nic.attach_trace(trace.clone());
-                    f.os.attach_instrumentation(lo + i as u32, auditor.clone(), trace.clone());
-                }
-            }
-        }
         let telemetry = self.telemetry.as_ref().map(|main| {
             let tel: TelemetryHandle = Rc::new(RefCell::new(main.borrow().split_shard()));
             for slot in hosts.iter_mut() {
@@ -1255,17 +1230,26 @@ impl World {
                     f.os.rebind_telemetry(tel.clone());
                 }
             }
-            // Rebind registered this shard's metric names at zero; pull
-            // their current values so counters keep accumulating.
-            tel.borrow_mut().adopt_values(&main.borrow());
             tel
         });
+        let auditor: AuditHandle = {
+            let mut shard = self.auditor.borrow_mut().split_shard(lo, hi);
+            shard.set_telemetry(telemetry.clone());
+            Rc::new(RefCell::new(shard))
+        };
+        if self.cfg.audit {
+            for (i, slot) in hosts.iter_mut().enumerate() {
+                if let HostSlot::Full(f) = slot {
+                    f.nic.attach_auditor(auditor.clone());
+                    f.os.attach_instrumentation(lo + i as u32, auditor.clone());
+                }
+            }
+        }
         World {
             cfg: self.cfg.clone(),
             fabric: self.fabric.split_shard(),
             hosts,
             keys: self.keys.clone(),
-            trace,
             auditor,
             telemetry,
             control: self.control.clone(),
@@ -1279,9 +1263,9 @@ impl World {
 
     /// Inverse of [`World::split_shards`]: host state returns in order,
     /// the canonical fabric copies back each shard's owned link and fault
-    /// state, and the observability sinks merge deterministically (trace
-    /// entries re-sorted, auditor ledgers fate-joined, telemetry published
-    /// by name).
+    /// state, and the observability sinks merge deterministically (auditor
+    /// ledgers fate-joined, span-log events appended for canonical
+    /// ordering on read).
     pub(crate) fn absorb_shards(&mut self, shards: Vec<World>, part: &Partition) {
         let mut shard_auditors = Vec::with_capacity(shards.len());
         for (s, shard) in shards.into_iter().enumerate() {
@@ -1290,7 +1274,6 @@ impl World {
                 fabric,
                 mut hosts,
                 keys: _,
-                trace,
                 auditor,
                 telemetry,
                 control,
@@ -1314,15 +1297,15 @@ impl World {
                 for (i, slot) in hosts.iter_mut().enumerate() {
                     if let HostSlot::Full(f) = slot {
                         f.nic.attach_auditor(self.auditor.clone());
-                        f.nic.attach_trace(self.trace.clone());
-                        f.os.attach_instrumentation(
-                            lo + i as u32,
-                            self.auditor.clone(),
-                            self.trace.clone(),
-                        );
+                        f.os.attach_instrumentation(lo + i as u32, self.auditor.clone());
                     }
                 }
             }
+            // The shard auditor holds the shard span log; release it
+            // before unwrapping that log below.
+            let mut a = unwrap_handle(auditor);
+            a.set_telemetry(self.telemetry.clone());
+            shard_auditors.push(a);
             if let Some(main) = &self.telemetry {
                 for slot in hosts.iter_mut() {
                     if let HostSlot::Full(f) = slot {
@@ -1333,12 +1316,6 @@ impl World {
                 main.borrow_mut().absorb_shard(unwrap_handle(telemetry.expect("shard telemetry")));
             }
             self.hosts.append(&mut hosts);
-            // The shard auditor holds the shard trace handle; re-point it
-            // at the main ring before unwrapping the shard ring below.
-            let mut a = unwrap_handle(auditor);
-            a.set_trace(self.trace.clone());
-            shard_auditors.push(a);
-            self.trace.borrow_mut().absorb_shard(unwrap_handle(trace));
         }
         self.auditor.borrow_mut().absorb_shards(shard_auditors);
     }
@@ -1374,11 +1351,8 @@ impl SimWorld for World {
                     self.fabric.faults_mut().apply(&op);
                 }
                 // Observability fires once globally (host 0 lives on the
-                // first shard, whose trace/telemetry absorb first).
+                // first shard, whose span log absorbs first).
                 if host == 0 {
-                    self.trace
-                        .borrow_mut()
-                        .record_with(ctx.now(), 0, "fault.op", || format!("{op:?}"));
                     if let Some(tel) = &self.telemetry {
                         tel.borrow_mut().instant(ctx.now(), 0, "net", "fault", format!("{op:?}"));
                     }
@@ -1416,7 +1390,6 @@ impl SimWorld for World {
                 }
                 self.ctl_local(now, host, &op, ctx);
                 if host == 0 {
-                    self.trace.borrow_mut().record_with(now, 0, "ctl.op", || format!("{op:?}"));
                     if let Some(tel) = &self.telemetry {
                         tel.borrow_mut().instant(now, 0, "net", "ctl", format!("{op:?}"));
                     }

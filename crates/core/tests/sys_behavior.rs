@@ -245,10 +245,17 @@ fn oversized_payloads_are_rejected() {
 
 #[test]
 fn trace_records_driver_activity() {
-    let mut c = Cluster::new(ClusterConfig::now(2));
-    c.telemetry().trace_enable();
+    let mut c = Cluster::new(ClusterConfig::now(2).with_telemetry(true));
     let a = c.create_endpoint(HostId(0));
     c.make_resident(a);
-    let text = c.telemetry().trace_text();
-    assert!(text.contains("Loaded"), "trace must show the load:\n{text}");
+    let log = c.telemetry().handle().expect("telemetry attached").borrow().span_log();
+    let begin = log
+        .lines()
+        .find(|l| l.contains(" h0 os.seg/ep_load begin "))
+        .unwrap_or_else(|| panic!("span log must show the load begin:\n{log}"));
+    let id = begin.split_whitespace().nth(4).expect("span id");
+    assert!(
+        log.lines().any(|l| l.contains(" h0 ") && l.ends_with(&format!(" end {id}"))),
+        "the load span must end once the endpoint is resident:\n{log}"
+    );
 }

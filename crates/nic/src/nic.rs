@@ -26,7 +26,7 @@ use crate::tel::NicTelemetry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use vnet_net::{HostId, LinkId, Packet, RouteOracle};
-use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime, TelemetryHandle, TraceHandle};
+use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime, TelemetryHandle};
 
 /// Events delivered to a NIC by the simulation engine.
 #[derive(Clone, Debug)]
@@ -204,8 +204,6 @@ pub struct Nic {
     scratch_ack: Vec<NicOut>,
     /// Cross-layer invariant auditor (hooks are no-ops when detached).
     auditor: Option<AuditHandle>,
-    /// Shared causal trace ring (records are no-ops when detached).
-    trace: Option<TraceHandle>,
     /// Unified telemetry (hooks are no-ops when detached).
     tel: Option<NicTelemetry>,
     /// Scheduled-fault route oracle (campaign failover planning); `None`
@@ -255,7 +253,6 @@ impl Nic {
             scratch_step: Vec::new(),
             scratch_ack: Vec::new(),
             auditor: None,
-            trace: None,
             tel: None,
             oracle: None,
             oracle_buf: Vec::new(),
@@ -270,23 +267,23 @@ impl Nic {
         self.auditor = Some(auditor);
     }
 
-    /// Attach the shared trace ring; retransmit/unbind/abort paths record
-    /// causal entries into it (no-ops while the ring is disabled).
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attach the unified telemetry registry; per-NIC metrics are
-    /// registered under `host{N}.nic.*` and protocol episodes
-    /// (retransmit, backoff, unbind, DMA transfers) become spans on the
-    /// `nic.chan` / `nic.dma` / `nic.fw` tracks.
+    /// Attach the span log; protocol episodes (retransmit, backoff,
+    /// unbind, DMA transfers) become spans on the `nic.chan` / `nic.dma`
+    /// / `nic.fw` tracks, and frame/DMA-byte counting starts (see
+    /// [`Nic::telemetry`]).
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
         self.tel = Some(NicTelemetry::new(self.host.0, tel));
     }
 
-    /// Re-point existing telemetry wiring at another registry (used when a
-    /// host migrates between the main world and a shard), preserving any
-    /// open retransmit/park spans. No-op while telemetry is detached.
+    /// The telemetry-only counters (`frames_tx`, `frames_rx`,
+    /// `dma_bytes`), when telemetry is attached.
+    pub fn telemetry(&self) -> Option<&NicTelemetry> {
+        self.tel.as_ref()
+    }
+
+    /// Re-point existing telemetry wiring at another span log (used when
+    /// a host migrates between the main world and a shard), preserving
+    /// any open retransmit/park spans. No-op while telemetry is detached.
     pub fn rebind_telemetry(&mut self, tel: TelemetryHandle) {
         if let Some(t) = &mut self.tel {
             t.rebind(tel);
@@ -322,12 +319,6 @@ impl Nic {
     fn audit(&self, f: impl FnOnce(&mut Auditor)) {
         if let Some(a) = &self.auditor {
             f(&mut a.borrow_mut());
-        }
-    }
-
-    fn trace_with(&self, at: SimTime, tag: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record_with(at, self.host.0, tag, detail);
         }
     }
 
@@ -425,7 +416,7 @@ impl Nic {
     /// communicating through a virtual network never touch the wire).
     fn emit(&mut self, pkt: Packet<Frame>, out: &mut Vec<NicOut>) {
         if let Some(t) = &mut self.tel {
-            t.counters().frames_tx.inc();
+            t.frames_tx += 1;
         }
         if pkt.dst == self.host {
             self.inbox.push_back(FwWork::Rx { src: self.host, frame: pkt.payload });
@@ -574,7 +565,7 @@ impl Nic {
         out: &mut Vec<NicOut>,
     ) {
         if let Some(t) = &mut self.tel {
-            t.counters().frames_rx.inc();
+            t.frames_rx += 1;
         }
         if corrupt {
             self.stats.crc_drops.inc();
@@ -913,12 +904,6 @@ impl Nic {
         };
         self.stats.failovers.inc();
         self.audit(|a| a.on_failover(now, h, uid));
-        self.trace_with(now, "nic.failover", || {
-            format!(
-                "uid {uid} h{}#{} → #{} around scheduled-down route",
-                from.peer.0, from.idx, to.idx
-            )
-        });
         if let Some(t) = &mut self.tel {
             t.retx_end(now, &from);
             t.instant(now, "failover", format!("uid={uid:#x} chan {} → {}", from.idx, to.idx));
@@ -1525,7 +1510,6 @@ impl Nic {
         self.troubled.remove(&ps.uid);
         let h = self.host.0;
         self.audit(|a| a.on_send_aborted(now, h, ps.uid));
-        self.trace_with(now, "nic.abort", || format!("uid {} dropped: {ep} gone", ps.uid));
         if let Some(t) = &mut self.tel {
             t.park_end(now, ps.uid);
             t.instant(now, "send_aborted", format!("uid={:#x} ep={} gone", ps.uid, ep.0));
@@ -1539,7 +1523,6 @@ impl Nic {
         let uid = msg.uid;
         self.troubled.remove(&uid); // bounced, not recovered: no sample
         self.audit(|a| a.on_bounced(now, h, uid));
-        self.trace_with(now, "nic.bounce", || format!("uid {uid} returned to sender ({ep})"));
         if let Some(t) = &mut self.tel {
             t.park_end(now, uid);
             t.instant(now, "bounce", format!("uid={uid:#x} ep={}", ep.0));
@@ -1609,15 +1592,6 @@ impl Nic {
                 GlobalEp::new(key.peer, inf.frame.dst_ep),
                 inf.frame.key,
             ));
-            self.trace_with(now, "nic.unbind", || {
-                format!(
-                    "uid {uid} → h{}#{} after {} retx (unbind cycle {})",
-                    key.peer.0,
-                    key.idx,
-                    inf.retx,
-                    unbind_cycles + 1
-                )
-            });
             if let Some(t) = &mut self.tel {
                 t.retx_end(now, &key);
                 t.instant(
@@ -1677,7 +1651,6 @@ impl Nic {
         };
         let gen = inf.gen;
         let uid = inf.uid;
-        let n_retx = inf.retx;
         let payload_bytes = match &inf.frame.kind {
             FrameKind::Data(m) => m.payload_bytes,
             _ => 0,
@@ -1694,15 +1667,6 @@ impl Nic {
         }
         let h = self.host.0;
         self.audit(|a| a.on_channel_retransmit(now, h, key.peer.0, key.idx, uid));
-        self.trace_with(now, "nic.retx", || {
-            format!(
-                "uid {uid} → h{}#{} retx {} next rto {:.1}us",
-                key.peer.0,
-                key.idx,
-                n_retx,
-                rto.as_micros_f64()
-            )
-        });
         self.cfg.costs.retransmit
     }
 
@@ -1864,9 +1828,10 @@ impl Nic {
                     self.dec_in_flight(now, ep, out);
                     let h = self.host.0;
                     self.audit(|a| a.on_send_aborted(now, h, uid));
-                    self.trace_with(now, "nic.abort", || {
-                        format!("uid {uid} staged DMA aborted: {ep} unregistered")
-                    });
+                    if let Some(t) = &mut self.tel {
+                        let d = format!("uid={uid:#x} ep={} unregistered", ep.0);
+                        t.instant(now, "send_aborted", d);
+                    }
                 }
                 self.cfg.costs.driver_op / 10
             }
@@ -1893,53 +1858,6 @@ impl Nic {
 }
 
 impl Nic {
-    /// One-line diagnostic dump of the firmware state (send queues,
-    /// channels, scheduling horizon) for debugging stalls.
-    pub fn diagnostic_summary(&self, now: SimTime) -> String {
-        let mut sendq = Vec::new();
-        for slot in &self.frames {
-            if let Some(ep) = slot.occupant() {
-                if let Some(img) = slot.image() {
-                    sendq.push(format!(
-                        "{ep}:q{}nb{:?}",
-                        img.send_q.len(),
-                        img.head_not_before().map(|t| t.as_micros_f64())
-                    ));
-                }
-            }
-        }
-        let busy_ch = self
-            .tx
-            .iter()
-            .filter(|(_, c)| !c.is_free())
-            .map(|(k, c)| {
-                format!(
-                    "{}#{}:{:?}r{}",
-                    k.peer,
-                    k.idx,
-                    c.in_flight.as_ref().map(|i| i.uid),
-                    c.reserved
-                )
-            })
-            .collect::<Vec<_>>();
-        format!(
-            "now={} fw_busy_until={} sched_at={:?} gen={} inbox={} sendq=[{}] busy_ch=[{}] staging_out={} in_flight={:?}",
-            now,
-            self.fw_busy_until,
-            if self.fw_scheduled_at == SimTime::MAX {
-                None
-            } else {
-                Some(self.fw_scheduled_at.as_micros_f64())
-            },
-            self.fw_step_gen,
-            self.inbox.len(),
-            sendq.join(","),
-            busy_ch.join(","),
-            self.staging_out.len(),
-            self.in_flight_per_ep,
-        )
-    }
-
     /// Number of endpoints currently bound to frames (any phase).
     pub fn resident_count(&self) -> usize {
         self.ep_frame.len()

@@ -3,9 +3,9 @@
 //! The firmware holds an `Option<NicTelemetry>`; when detached (the
 //! default) every hook is a `None` check and the hot path pays nothing —
 //! the same gating discipline as the invariant auditor. When attached,
-//! counters are pre-resolved [`CounterHandle`]s (one `Cell` bump per
-//! event, no registry lookup, no `RefCell` borrow) and protocol episodes
-//! become spans on per-layer Perfetto tracks:
+//! three telemetry-only counters are plain fields (reported through
+//! [`MetricSet`] under `host{N}.nic`) and protocol episodes become spans
+//! on per-layer Perfetto tracks:
 //!
 //! * `nic.chan` — retransmission episodes (first retransmit → ack or
 //!   unbind) and park/backoff episodes (transient NACK or post-unbind
@@ -20,7 +20,9 @@
 
 use crate::channel::ChannelKey;
 use std::collections::HashMap;
-use vnet_sim::telemetry::{CounterHandle, SpanDetail, SpanId, TelemetryHandle};
+use vnet_sim::telemetry::{
+    MetricSet, MetricValue, MetricVisitor, SpanDetail, SpanId, TelemetryHandle,
+};
 use vnet_sim::SimTime;
 
 /// Perfetto track for channel retransmit/backoff episodes.
@@ -30,37 +32,17 @@ pub const TRACK_DMA: &str = "nic.dma";
 /// Perfetto track for instantaneous firmware markers.
 pub const TRACK_FW: &str = "nic.fw";
 
-/// Pre-resolved per-NIC counter handles, materialized on first touch.
-pub(crate) struct NicCounters {
-    /// Frames injected into the fabric (data, acks, everything).
-    pub(crate) frames_tx: CounterHandle,
-    /// Frames handed up from the fabric (before CRC check).
-    pub(crate) frames_rx: CounterHandle,
-    /// Bytes moved by the SBUS DMA engine.
-    pub(crate) dma_bytes: CounterHandle,
-}
-
-impl NicCounters {
-    fn resolve(host: u32, tel: &TelemetryHandle) -> Self {
-        let mut t = tel.borrow_mut();
-        NicCounters {
-            frames_tx: t.counter(&format!("host{host}.nic.frames_tx")),
-            frames_rx: t.counter(&format!("host{host}.nic.frames_rx")),
-            dma_bytes: t.counter(&format!("host{host}.nic.dma_bytes")),
-        }
-    }
-}
-
-/// Telemetry state owned by one NIC (see module docs).
-pub(crate) struct NicTelemetry {
+/// Telemetry state owned by one NIC (see module docs). It moves with its
+/// host into a shard of a parallel run, counts and open spans included.
+pub struct NicTelemetry {
     tel: TelemetryHandle,
     host: u32,
-    /// Counter handles, registered lazily: a fleet-scale cluster attaches
-    /// telemetry to thousands of hosts, most of which never move a frame,
-    /// and eager registration would allocate three `host{N}.*` name
-    /// strings per host at build time. `None` until the first counter
-    /// bump.
-    counters: Option<NicCounters>,
+    /// Frames injected into the fabric (data, acks, everything).
+    pub(crate) frames_tx: u64,
+    /// Frames handed up from the fabric (before CRC check).
+    pub(crate) frames_rx: u64,
+    /// Bytes moved by the SBUS DMA engine.
+    dma_bytes: u64,
     /// Open retransmission-episode span per channel; begun at the first
     /// retransmit of a binding, ended on completion or unbind.
     retx_spans: HashMap<ChannelKey, SpanId>,
@@ -74,30 +56,18 @@ impl NicTelemetry {
         NicTelemetry {
             tel,
             host,
-            counters: None,
+            frames_tx: 0,
+            frames_rx: 0,
+            dma_bytes: 0,
             retx_spans: HashMap::new(),
             park_spans: HashMap::new(),
         }
     }
 
-    /// The counter handles, registering them on first touch.
-    pub(crate) fn counters(&mut self) -> &NicCounters {
-        if self.counters.is_none() {
-            self.counters = Some(NicCounters::resolve(self.host, &self.tel));
-        }
-        self.counters.as_ref().expect("just resolved")
-    }
-
-    /// Point this wiring at a different registry (a shard's at split, the
-    /// main one at absorb), re-resolving any touched counter handles by
-    /// name (so `adopt_values` carries their counts across the boundary)
-    /// and keeping the open-span maps so episodes spanning a shard
-    /// boundary still close with their original ids. Untouched counters
-    /// stay lazy — an idle host pays nothing at every split.
+    /// Point this wiring at a different span log (a shard's at split,
+    /// the main one at absorb), keeping the open-span maps so episodes
+    /// spanning a shard boundary still close with their original ids.
     pub(crate) fn rebind(&mut self, tel: TelemetryHandle) {
-        if self.counters.is_some() {
-            self.counters = Some(NicCounters::resolve(self.host, &tel));
-        }
         self.tel = tel;
     }
 
@@ -105,7 +75,7 @@ impl NicTelemetry {
     /// per-message span hook, so the detail is the allocation-free
     /// [`SpanDetail::Bytes`], not a formatted string.
     pub(crate) fn dma_span(&mut self, at: SimTime, done: SimTime, name: &'static str, bytes: u32) {
-        self.counters().dma_bytes.add(bytes as u64);
+        self.dma_bytes += bytes as u64;
         let mut t = self.tel.borrow_mut();
         let id = t.span_begin(at, self.host, TRACK_DMA, name, SpanDetail::Bytes(bytes));
         t.span_end(done, id);
@@ -151,5 +121,19 @@ impl NicTelemetry {
     /// Instantaneous firmware marker on the `nic.fw` track.
     pub(crate) fn instant(&mut self, at: SimTime, name: &'static str, detail: String) {
         self.tel.borrow_mut().instant(at, self.host, TRACK_FW, name, detail);
+    }
+}
+
+impl MetricSet for NicTelemetry {
+    /// Nothing until the NIC has moved a frame: a fleet-scale cluster
+    /// attaches telemetry to thousands of hosts, most of which stay idle,
+    /// and their snapshots carry no `host{N}.nic.frames_*` noise.
+    fn visit_metrics(&self, v: &mut dyn MetricVisitor) {
+        if self.frames_tx == 0 && self.frames_rx == 0 && self.dma_bytes == 0 {
+            return;
+        }
+        v.metric("frames_tx", MetricValue::Counter(self.frames_tx));
+        v.metric("frames_rx", MetricValue::Counter(self.frames_rx));
+        v.metric("dma_bytes", MetricValue::Counter(self.dma_bytes));
     }
 }

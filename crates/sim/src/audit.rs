@@ -38,18 +38,14 @@
 //!   frame count, and the occupancy counter never underflows.
 
 use crate::fxhash::{fx_map_with_capacity, FxHashMap};
+use crate::telemetry::TelemetryHandle;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceRing;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 /// Shared, single-threaded handle to an [`Auditor`].
 pub type AuditHandle = Rc<RefCell<Auditor>>;
-
-/// Shared, single-threaded handle to a [`TraceRing`] (so instrumented
-/// components on every layer can record into one causal log).
-pub type TraceHandle = Rc<RefCell<TraceRing>>;
 
 /// One recorded invariant breach.
 #[derive(Clone, Debug)]
@@ -174,6 +170,9 @@ pub struct AuditCounters {
 /// How many violations are kept verbatim; later ones only bump the count.
 const MAX_KEPT_VIOLATIONS: usize = 64;
 
+/// Perfetto track of invariant-violation instants.
+pub const TRACK_AUDIT: &str = "audit";
+
 /// The cross-layer invariant auditor. See the module docs for the
 /// invariant list; see `vnet_core::Cluster::audit` for the cluster-level
 /// entry point that turns recorded violations into a report.
@@ -196,7 +195,7 @@ pub struct Auditor {
     /// Admitted request bytes per `(tenant, epoch index)`.
     tenant_bytes: FxHashMap<(u32, u64), u64>,
     counters: AuditCounters,
-    trace: Option<TraceHandle>,
+    tel: Option<TelemetryHandle>,
 }
 
 impl Default for Auditor {
@@ -221,7 +220,7 @@ impl Auditor {
             ep_tenant: FxHashMap::default(),
             tenant_bytes: FxHashMap::default(),
             counters: AuditCounters::default(),
-            trace: None,
+            tel: None,
         }
     }
 
@@ -230,11 +229,11 @@ impl Auditor {
         Rc::new(RefCell::new(Auditor::new(credit_limit)))
     }
 
-    /// Attach the shared trace ring; every violation is also recorded
-    /// there (tag `audit.violation`) so the causal dump shows where in
-    /// the event stream the invariant broke.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
+    /// Attach (or detach) the span log; every violation is also recorded
+    /// there as an `audit/violation` instant, so the timeline shows where
+    /// in the event stream the invariant broke.
+    pub fn set_telemetry(&mut self, tel: Option<TelemetryHandle>) {
+        self.tel = tel;
     }
 
     /// Declare a host and its NI endpoint frame budget.
@@ -257,10 +256,9 @@ impl Auditor {
         detail: String,
     ) {
         self.total_violations += 1;
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record_with(at, host, "audit.violation", || {
-                format!("{invariant}: {detail}")
-            });
+        if let Some(t) = &self.tel {
+            let d = format!("{invariant}: {detail}");
+            t.borrow_mut().instant(at, host, TRACK_AUDIT, "violation", d);
         }
         if self.violations.len() < MAX_KEPT_VIOLATIONS {
             self.violations.push(Violation { invariant, at, host, tenant, detail });
@@ -743,8 +741,8 @@ impl Auditor {
     /// ledger starts empty (a uid can be touched by two shards — posted
     /// on one, delivered on another — so fates are joined at merge
     /// instead), and violations/counters accumulate per run and are
-    /// summed back. The shard's trace handle is left unset; the caller
-    /// attaches the shard's own ring.
+    /// summed back. The shard's span log is left unset; the caller
+    /// attaches the shard's own.
     pub fn split_shard(&mut self, lo: u32, hi: u32) -> Auditor {
         let mut shard = Auditor::new(self.credit_limit);
         let in_range = |h: u32| h >= lo && h < hi;
@@ -1022,16 +1020,16 @@ mod tests {
     }
 
     #[test]
-    fn violations_record_into_attached_trace() {
+    fn violations_record_into_attached_span_log() {
         let mut a = Auditor::new(32);
-        let trace: TraceHandle = Rc::new(RefCell::new(TraceRing::new(16)));
-        trace.borrow_mut().enable();
-        a.set_trace(trace.clone());
+        let tel = crate::telemetry::Telemetry::handle();
+        a.set_telemetry(Some(tel.clone()));
         a.on_delivered(t(1), 1, 7);
         a.on_delivered(t(2), 1, 7);
-        let text = trace.borrow().to_text();
-        assert!(text.contains("audit.violation"), "{text}");
-        assert!(text.contains("audit.exactly-once"), "{text}");
+        let log = tel.borrow().span_log();
+        assert_eq!(log.lines().count(), 1, "{log}");
+        assert!(log.contains("h1 audit/violation instant"), "{log}");
+        assert!(log.contains("audit.exactly-once: uid 7"), "{log}");
     }
 
     #[test]

@@ -32,20 +32,18 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 pub mod wheel;
 
-pub use audit::{AuditCounters, AuditHandle, Auditor, EpPhase, MsgFate, TraceHandle, Violation};
+pub use audit::{AuditCounters, AuditHandle, Auditor, EpPhase, MsgFate, Violation};
 pub use engine::{Ctx, Engine, EventId, SimWorld};
 pub use fxhash::{fx_map_with_capacity, FxHashMap, FxHashSet, FxHasher};
 pub use parallel::{
     run_conservative, PairLookahead, ParRun, ParShard, SendCell, ShardEpochs, INGRESS_KEY_BIT,
 };
 pub use telemetry::{
-    CounterHandle, GaugeHandle, HistogramHandle, MetricSet, MetricValue, MetricVisitor,
-    MetricsSnapshot, SamplerHandle, SpanId, Summary, Telemetry, TelemetryHandle,
+    MetricSet, MetricValue, MetricVisitor, MetricsSnapshot, SpanId, Summary, Telemetry,
+    TelemetryHandle,
 };
 pub use wheel::{Due, RefHeap, TimingWheel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEntry, TraceRing};

@@ -1,28 +1,29 @@
-//! Unified telemetry: typed metrics registry, span tracing, and exporters.
+//! Unified telemetry: per-component metric sets, one event log, and
+//! exporters.
 //!
 //! This module is the observability substrate for the whole stack. It
-//! replaces ad-hoc per-crate stat structs and parallel trace paths with
-//! one coherent model:
+//! has exactly two mechanisms:
 //!
-//! * a **metrics registry** ([`Telemetry`]) of named counters, gauges,
-//!   samplers and histograms. Registration returns *pre-resolved handles*
-//!   ([`CounterHandle`], [`GaugeHandle`], …) that components store and
-//!   bump in O(1) on the hot path — no name lookup, no `RefCell` borrow
-//!   per increment. When telemetry is disabled components simply never
-//!   attach a handle, so the fast path pays nothing (the same gating
-//!   pattern as the invariant auditor);
-//! * **span tracing**: begin/end spans stamped with simulated time,
-//!   recording episodes that cross layers — NIC firmware phases, DMA
-//!   transfers, channel retransmit/backoff episodes, OS residency
-//!   transitions — plus instantaneous markers;
-//! * a **[`MetricSet`]** trait through which legacy stat structs
-//!   (`NicStats`, `OsStats`, fabric link counters) are enumerated
-//!   generically into a [`MetricsSnapshot`];
-//! * two **exporters**: a flat metrics snapshot/delta dump (JSON via
-//!   [`MetricsSnapshot::to_json`], text table via
-//!   [`MetricsSnapshot::to_table`]) and a Chrome trace-event / Perfetto
-//!   JSON timeline fed from the spans
-//!   ([`Telemetry::export_chrome_trace`]).
+//! * **counts** live in plain fields of the component that produces them
+//!   (`NicStats`, `OsStats`, the fabric's link counters, the NIC's
+//!   telemetry-only frame counters). Each such struct implements
+//!   [`MetricSet`], through which a [`MetricsSnapshot`] enumerates it
+//!   generically. Counts move with their component, so a host that moves
+//!   to a shard of a parallel run takes its counts along;
+//! * **events** go to the one span log ([`Telemetry`]): begin/end spans
+//!   stamped with simulated time, recording episodes that cross layers —
+//!   NIC firmware phases, DMA transfers, channel retransmit/backoff
+//!   episodes, OS residency transitions — plus instantaneous markers
+//!   (NACKs, faults, control-plane steps, invariant violations). When
+//!   telemetry is disabled components never attach a log, so the fast
+//!   path pays nothing (the same gating pattern as the invariant
+//!   auditor).
+//!
+//! Two **exporters** read them: a flat metrics snapshot/delta dump (JSON
+//! via [`MetricsSnapshot::to_json`], text table via
+//! [`MetricsSnapshot::to_table`]) and a Chrome trace-event / Perfetto
+//! JSON timeline fed from the span log
+//! ([`Telemetry::export_chrome_trace`]).
 //!
 //! # Metric naming
 //!
@@ -46,94 +47,13 @@
 use crate::fxhash::FxHashMap;
 use crate::stats::{LogHistogram, Sampler};
 use crate::time::SimTime;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// Shared, single-threaded handle to a [`Telemetry`] registry.
+/// Shared, single-threaded handle to a [`Telemetry`] span log.
 pub type TelemetryHandle = Rc<RefCell<Telemetry>>;
-
-// ---------------------------------------------------------------------------
-// Hot-path handles
-// ---------------------------------------------------------------------------
-
-/// Pre-resolved handle to a registered counter. Cloning is cheap (`Rc`);
-/// incrementing is a single `Cell` bump.
-#[derive(Clone, Debug)]
-pub struct CounterHandle(Rc<Cell<u64>>);
-
-impl CounterHandle {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.set(self.0.get().wrapping_add(1));
-    }
-
-    /// Add `k`.
-    #[inline]
-    pub fn add(&self, k: u64) {
-        self.0.set(self.0.get().wrapping_add(k));
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// Pre-resolved handle to a registered gauge (last-write-wins `f64`).
-#[derive(Clone, Debug)]
-pub struct GaugeHandle(Rc<Cell<f64>>);
-
-impl GaugeHandle {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-/// Pre-resolved handle to a registered sampler (full-distribution).
-#[derive(Clone, Debug)]
-pub struct SamplerHandle(Rc<RefCell<Sampler>>);
-
-impl SamplerHandle {
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, x: f64) {
-        self.0.borrow_mut().record(x);
-    }
-
-    /// Snapshot of the underlying sampler.
-    pub fn sampler(&self) -> Sampler {
-        self.0.borrow().clone()
-    }
-}
-
-/// Pre-resolved handle to a registered log₂ histogram.
-#[derive(Clone, Debug)]
-pub struct HistogramHandle(Rc<RefCell<LogHistogram>>);
-
-impl HistogramHandle {
-    /// Record one value.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
-    }
-
-    /// Snapshot of the underlying histogram.
-    pub fn histogram(&self) -> LogHistogram {
-        self.0.borrow().clone()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // MetricSet: generic enumeration of metric-bearing structs
@@ -198,9 +118,9 @@ pub trait MetricVisitor {
 
 /// A struct whose metrics can be enumerated generically.
 ///
-/// Implemented by `NicStats`, `OsStats`, the fabric, and the
-/// [`Telemetry`] registry itself, so callers iterate metrics uniformly
-/// instead of reaching into per-crate pub fields.
+/// Implemented by every component that counts (`NicStats`, `OsStats`,
+/// the fabric, the control plane, …), so callers iterate metrics
+/// uniformly instead of reaching into per-crate pub fields.
 pub trait MetricSet {
     /// Enumerate every metric into `v`, using short dot-free names.
     fn visit_metrics(&self, v: &mut dyn MetricVisitor);
@@ -459,29 +379,16 @@ enum SpanEvent {
 }
 
 // ---------------------------------------------------------------------------
-// The registry
+// The span log
 // ---------------------------------------------------------------------------
 
-/// The telemetry registry: named metric storage plus the span log.
+/// The cluster's one event log: spans and instants from every layer.
 ///
-/// One registry serves a whole cluster; components register metrics at
-/// attach time (full names, e.g. `host3.nic.dma_bytes`) and keep the
-/// returned handles for the hot path.
+/// One log serves a whole cluster (one per shard during a parallel run,
+/// merged back at the run boundary); components hold a
+/// [`TelemetryHandle`] to it only while telemetry is enabled.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    counters: Vec<(String, Rc<Cell<u64>>)>,
-    gauges: Vec<(String, Rc<Cell<f64>>)>,
-    samplers: Vec<(String, Rc<RefCell<Sampler>>)>,
-    histograms: Vec<(String, Rc<RefCell<LogHistogram>>)>,
-    /// Name → position in the matching table above, so registration and
-    /// shard adopt/absorb are O(1) per name instead of a linear scan
-    /// (registering N host-prefixed metrics used to be O(N²), which
-    /// dominated build time at fleet scale). The Vecs stay canonical:
-    /// snapshots iterate them in registration order.
-    counter_idx: FxHashMap<String, usize>,
-    gauge_idx: FxHashMap<String, usize>,
-    sampler_idx: FxHashMap<String, usize>,
-    histogram_idx: FxHashMap<String, usize>,
     spans: Vec<SpanEvent>,
     span_cap: usize,
     dropped_spans: u64,
@@ -510,12 +417,12 @@ impl Telemetry {
     /// growth (spans are episode-scale, not per-packet).
     pub const DEFAULT_SPAN_CAP: usize = 1 << 18;
 
-    /// A fresh registry with the default span capacity.
+    /// A fresh log with the default span capacity.
     pub fn new() -> Self {
         Self::with_span_cap(Self::DEFAULT_SPAN_CAP)
     }
 
-    /// A fresh registry holding at most `cap` span events; further
+    /// A fresh log holding at most `cap` span events; further
     /// begin/instant events are dropped and counted
     /// ([`Telemetry::dropped_spans`]).
     pub fn with_span_cap(cap: usize) -> Self {
@@ -525,50 +432,6 @@ impl Telemetry {
     /// A fresh shared handle.
     pub fn handle() -> TelemetryHandle {
         Rc::new(RefCell::new(Telemetry::new()))
-    }
-
-    /// Register (or re-resolve) a counter by fully-qualified name.
-    pub fn counter(&mut self, name: &str) -> CounterHandle {
-        if let Some(&i) = self.counter_idx.get(name) {
-            return CounterHandle(Rc::clone(&self.counters[i].1));
-        }
-        let c = Rc::new(Cell::new(0u64));
-        self.counter_idx.insert(name.to_string(), self.counters.len());
-        self.counters.push((name.to_string(), Rc::clone(&c)));
-        CounterHandle(c)
-    }
-
-    /// Register (or re-resolve) a gauge by fully-qualified name.
-    pub fn gauge(&mut self, name: &str) -> GaugeHandle {
-        if let Some(&i) = self.gauge_idx.get(name) {
-            return GaugeHandle(Rc::clone(&self.gauges[i].1));
-        }
-        let g = Rc::new(Cell::new(0f64));
-        self.gauge_idx.insert(name.to_string(), self.gauges.len());
-        self.gauges.push((name.to_string(), Rc::clone(&g)));
-        GaugeHandle(g)
-    }
-
-    /// Register (or re-resolve) a sampler by fully-qualified name.
-    pub fn sampler(&mut self, name: &str) -> SamplerHandle {
-        if let Some(&i) = self.sampler_idx.get(name) {
-            return SamplerHandle(Rc::clone(&self.samplers[i].1));
-        }
-        let s = Rc::new(RefCell::new(Sampler::default()));
-        self.sampler_idx.insert(name.to_string(), self.samplers.len());
-        self.samplers.push((name.to_string(), Rc::clone(&s)));
-        SamplerHandle(s)
-    }
-
-    /// Register (or re-resolve) a histogram by fully-qualified name.
-    pub fn histogram(&mut self, name: &str) -> HistogramHandle {
-        if let Some(&i) = self.histogram_idx.get(name) {
-            return HistogramHandle(Rc::clone(&self.histograms[i].1));
-        }
-        let h = Rc::new(RefCell::new(LogHistogram::default()));
-        self.histogram_idx.insert(name.to_string(), self.histograms.len());
-        self.histograms.push((name.to_string(), Rc::clone(&h)));
-        HistogramHandle(h)
     }
 
     /// Open a span on `host`'s `layer` track. Returns the id to pass to
@@ -629,64 +492,18 @@ impl Telemetry {
 
     // ---------------------------------------------------- shard split/merge
 
-    /// A fresh registry for one shard of a parallel run: same span
-    /// capacity, empty metric tables and span log, and a copy of the
-    /// per-host span sequence map so ids keep counting from where the
-    /// merged registry left off. Components on the shard re-register
-    /// their metrics (which recreates names at zero); call
-    /// [`Telemetry::adopt_values`] afterwards to carry the merged values
-    /// over.
+    /// A fresh log for one shard of a parallel run: same span capacity,
+    /// no events, and a copy of the per-host span sequence map so ids
+    /// keep counting from where the merged log left off.
     pub fn split_shard(&self) -> Telemetry {
         Telemetry { span_cap: self.span_cap, span_seq: self.span_seq.clone(), ..Default::default() }
     }
 
-    /// Copy the value of every metric registered *here* from `from`
-    /// (matched by fully-qualified name; names absent there stay as-is).
-    /// Used after shard components re-register, so counters continue from
-    /// the merged baseline instead of restarting at zero.
-    pub fn adopt_values(&mut self, from: &Telemetry) {
-        for (name, c) in &self.counters {
-            if let Some(&i) = from.counter_idx.get(name) {
-                c.set(from.counters[i].1.get());
-            }
-        }
-        for (name, g) in &self.gauges {
-            if let Some(&i) = from.gauge_idx.get(name) {
-                g.set(from.gauges[i].1.get());
-            }
-        }
-        for (name, s) in &self.samplers {
-            if let Some(&i) = from.sampler_idx.get(name) {
-                *s.borrow_mut() = from.samplers[i].1.borrow().clone();
-            }
-        }
-        for (name, h) in &self.histograms {
-            if let Some(&i) = from.histogram_idx.get(name) {
-                *h.borrow_mut() = from.histograms[i].1.borrow().clone();
-            }
-        }
-    }
-
-    /// Merge one shard registry back. Metric values are *published* by
-    /// name — the shard's value overwrites (and registers if needed) the
-    /// entry here, which is exact because metric names are host-prefixed
-    /// and hosts are partitioned across shards. Span events append (the
-    /// canonical `(time, host)` order is imposed on read, see
+    /// Merge one shard log back. Span events append (the canonical
+    /// `(time, host)` order is imposed on read, see
     /// [`Telemetry::export_chrome_trace`]), drop counts sum, and the
     /// per-host span sequences take the shard's progress.
     pub fn absorb_shard(&mut self, sh: Telemetry) {
-        for (name, src) in &sh.counters {
-            self.counter(name).0.set(src.get());
-        }
-        for (name, src) in &sh.gauges {
-            self.gauge(name).0.set(src.get());
-        }
-        for (name, src) in &sh.samplers {
-            *self.sampler(name).0.borrow_mut() = src.borrow().clone();
-        }
-        for (name, src) in &sh.histograms {
-            *self.histogram(name).0.borrow_mut() = src.borrow().clone();
-        }
         self.spans.extend(sh.spans);
         self.dropped_spans += sh.dropped_spans;
         for (host, seq) in sh.span_seq {
@@ -710,29 +527,15 @@ impl Telemetry {
     /// differential tests (a parallel run must produce exactly the
     /// sequential run's log).
     pub fn span_log(&self) -> String {
-        let mut s = String::with_capacity(self.spans.len() * 48);
-        for ev in self.canonical_spans() {
-            match ev {
-                SpanEvent::Begin { at, host, layer, name, id, detail } => {
-                    let _ = write!(s, "t={at} h{host} {layer}/{name} begin 0x{id:x}");
-                    if let Some(d) = detail.render() {
-                        let _ = write!(s, " [{d}]");
-                    }
-                    s.push('\n');
-                }
-                SpanEvent::End { at, id } => {
-                    let _ = writeln!(s, "t={at} h{} end 0x{id:x}", (id >> 40) as u32);
-                }
-                SpanEvent::Instant { at, host, layer, name, detail } => {
-                    let _ = write!(s, "t={at} h{host} {layer}/{name} instant");
-                    if let Some(d) = detail.render() {
-                        let _ = write!(s, " [{d}]");
-                    }
-                    s.push('\n');
-                }
-            }
-        }
-        s
+        render_text(&self.canonical_spans())
+    }
+
+    /// The last `n` events of [`Telemetry::span_log`] at or before
+    /// `until` — the window an invariant-violation report shows.
+    pub fn span_log_before(&self, until: SimTime, n: usize) -> String {
+        let order = self.canonical_spans();
+        let end = order.partition_point(|ev| ev.order_key().0 <= until);
+        render_text(&order[end.saturating_sub(n)..end])
     }
 
     /// Export the span log as Chrome trace-event / Perfetto JSON.
@@ -863,21 +666,32 @@ impl Telemetry {
     }
 }
 
-impl MetricSet for Telemetry {
-    fn visit_metrics(&self, v: &mut dyn MetricVisitor) {
-        for (name, c) in &self.counters {
-            v.metric(name, MetricValue::Counter(c.get()));
-        }
-        for (name, g) in &self.gauges {
-            v.metric(name, MetricValue::Gauge(g.get()));
-        }
-        for (name, s) in &self.samplers {
-            v.metric(name, MetricValue::Summary(Summary::from_sampler(&s.borrow())));
-        }
-        for (name, h) in &self.histograms {
-            v.metric(name, MetricValue::Summary(Summary::from_histogram(&h.borrow())));
+/// One line per event: `t=<time> h<host> <layer>/<name> begin|instant
+/// <id> [<detail>]`, or `t=<time> h<host> end <id>`.
+fn render_text(events: &[&SpanEvent]) -> String {
+    let mut s = String::with_capacity(events.len() * 48);
+    for ev in events {
+        match ev {
+            SpanEvent::Begin { at, host, layer, name, id, detail } => {
+                let _ = write!(s, "t={at} h{host} {layer}/{name} begin 0x{id:x}");
+                if let Some(d) = detail.render() {
+                    let _ = write!(s, " [{d}]");
+                }
+                s.push('\n');
+            }
+            SpanEvent::End { at, id } => {
+                let _ = writeln!(s, "t={at} h{} end 0x{id:x}", (id >> 40) as u32);
+            }
+            SpanEvent::Instant { at, host, layer, name, detail } => {
+                let _ = write!(s, "t={at} h{host} {layer}/{name} instant");
+                if let Some(d) = detail.render() {
+                    let _ = write!(s, " [{d}]");
+                }
+                s.push('\n');
+            }
         }
     }
+    s
 }
 
 // ---------------------------------------------------------------------------
@@ -1149,31 +963,39 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
-    #[test]
-    fn counter_handles_are_deduped_and_o1() {
-        let mut tel = Telemetry::new();
-        let a = tel.counter("host0.nic.retransmits");
-        let b = tel.counter("host0.nic.retransmits");
-        a.inc();
-        b.add(4);
-        assert_eq!(a.get(), 5, "same name resolves to the same cell");
-        let mut snap = MetricsSnapshot::new(t(1));
-        snap.record_set("", &tel);
-        assert_eq!(snap.counter("host0.nic.retransmits"), 5);
+    /// A component-style metric set: two counters and a distribution.
+    struct Nic {
+        unbinds: u64,
+        rtt_us: Sampler,
+        remap_ns: LogHistogram,
+    }
+
+    impl MetricSet for Nic {
+        fn visit_metrics(&self, v: &mut dyn MetricVisitor) {
+            v.metric("unbinds", MetricValue::Counter(self.unbinds));
+            v.metric("rtt_us", MetricValue::Summary(Summary::from_sampler(&self.rtt_us)));
+            v.metric("remap_ns", MetricValue::Summary(Summary::from_histogram(&self.remap_ns)));
+        }
+    }
+
+    fn nic(unbinds: u64) -> Nic {
+        let mut n = Nic { unbinds, rtt_us: Sampler::default(), remap_ns: LogHistogram::default() };
+        for x in [10.0, 20.0, 30.0] {
+            n.rtt_us.record(x);
+        }
+        n.remap_ns.record(4096);
+        n
     }
 
     #[test]
-    fn gauges_samplers_histograms_roundtrip() {
-        let mut tel = Telemetry::new();
-        tel.gauge("host0.nic.free_frames").set(6.0);
-        let s = tel.sampler("host0.nic.rtt_us");
-        for x in [10.0, 20.0, 30.0] {
-            s.record(x);
-        }
-        tel.histogram("host0.os.remap_ns").record(4096);
+    fn metric_sets_record_under_prefix() {
+        let n = nic(5);
+        assert_eq!(n.counter_value("unbinds"), 5);
         let mut snap = MetricsSnapshot::new(t(2));
-        snap.record_set("", &tel);
-        assert_eq!(snap.get("host0.nic.free_frames"), Some(&MetricValue::Gauge(6.0)));
+        snap.record_set("host0.nic", &n);
+        snap.record("net.free_frames", MetricValue::Gauge(6.0));
+        assert_eq!(snap.counter("host0.nic.unbinds"), 5);
+        assert_eq!(snap.get("net.free_frames"), Some(&MetricValue::Gauge(6.0)));
         match snap.get("host0.nic.rtt_us") {
             Some(MetricValue::Summary(m)) => {
                 assert_eq!(m.count, 3);
@@ -1182,7 +1004,7 @@ mod tests {
             }
             other => panic!("expected summary, got {other:?}"),
         }
-        match snap.get("host0.os.remap_ns") {
+        match snap.get("host0.nic.remap_ns") {
             Some(MetricValue::Summary(m)) => assert_eq!(m.count, 1),
             other => panic!("expected summary, got {other:?}"),
         }
@@ -1190,37 +1012,44 @@ mod tests {
 
     #[test]
     fn snapshot_delta_subtracts_counters() {
-        let mut tel = Telemetry::new();
-        let c = tel.counter("x");
-        c.add(10);
         let mut before = MetricsSnapshot::new(t(1));
-        before.record_set("", &tel);
-        c.add(7);
-        tel.gauge("g").set(3.0);
+        before.record_set("", &nic(10));
         let mut after = MetricsSnapshot::new(t(2));
-        after.record_set("", &tel);
+        after.record_set("", &nic(17));
+        after.record("g", MetricValue::Gauge(3.0));
         let d = after.delta_since(&before);
-        assert_eq!(d.counter("x"), 7);
+        assert_eq!(d.counter("unbinds"), 7);
         assert_eq!(d.get("g"), Some(&MetricValue::Gauge(3.0)), "gauges take the later value");
         assert_eq!(d.at(), t(2));
     }
 
     #[test]
     fn snapshot_json_parses_and_matches() {
-        let mut tel = Telemetry::new();
-        tel.counter("host1.nic.unbinds").add(3);
-        tel.sampler("host1.nic.rtt_us").record(61.02);
         let mut snap = MetricsSnapshot::new(t(5));
-        snap.record_set("", &tel);
-        snap.record("trace.dropped_events", MetricValue::Counter(2));
+        snap.record_set("host1.nic", &nic(3));
+        snap.record("telemetry.dropped_spans", MetricValue::Counter(2));
         let doc = Json::parse(&snap.to_json()).expect("valid JSON");
         assert_eq!(doc.get("at_us").and_then(Json::as_f64), Some(5.0));
         let metrics = doc.get("metrics").expect("metrics object");
         assert_eq!(metrics.get("host1.nic.unbinds").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(metrics.get("trace.dropped_events").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(metrics.get("telemetry.dropped_spans").and_then(Json::as_f64), Some(2.0));
         let rtt = metrics.get("host1.nic.rtt_us").expect("summary object");
-        assert_eq!(rtt.get("count").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(rtt.get("count").and_then(Json::as_f64), Some(3.0));
         assert!(snap.to_table().contains("host1.nic.unbinds"));
+    }
+
+    #[test]
+    fn span_log_window_ends_at_cutoff() {
+        let mut tel = Telemetry::new();
+        for i in 0..10 {
+            tel.instant(t(10 - i), (i % 2) as u32, "nic.fw", "nack_rx", format!("n{}", 10 - i));
+        }
+        let w = tel.span_log_before(t(6), 3);
+        let lines: Vec<&str> = w.lines().collect();
+        assert_eq!(lines.len(), 3, "{w}");
+        assert!(lines[0].contains("[n4]") && lines[2].contains("[n6]"), "{w}");
+        assert_eq!(tel.span_log(), tel.span_log_before(SimTime::MAX, 10));
+        assert!(tel.span_log_before(t(0), 5).is_empty());
     }
 
     #[test]

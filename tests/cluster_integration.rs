@@ -401,16 +401,16 @@ fn clean_runs_pass_the_invariant_audit() {
 /// Mutation check: break exactly-once on purpose (uid dedup disabled,
 /// aggressive unbind churn over a lossy link → a retransmitted copy lands
 /// after its unbound original already delivered) and require the auditor
-/// to catch it with the named invariant and a trace dump.
+/// to catch it with the named invariant and the span-log window that
+/// leads up to it, the violation's own instant included.
 #[test]
 fn audit_catches_double_delivery() {
-    let mut cfg = ClusterConfig::now(2);
+    let mut cfg = ClusterConfig::now(2).with_telemetry(true);
     cfg.nic.dedup_window = 0; // the mutation: no duplicate suppression
     cfg.nic.max_retx_before_unbind = 1; // churn channels hard
     cfg.drop_prob = 0.30; // lose enough acks to force rebinds
     let mut c = Cluster::new(cfg);
     c.telemetry().set_debug_audit(false); // we *expect* violations; inspect manually
-    c.telemetry().trace_enable();
     let a = c.create_endpoint(HostId(0));
     let b = c.create_endpoint(HostId(1));
     c.build_virtual_network(&[a, b]);
@@ -422,10 +422,29 @@ fn audit_catches_double_delivery() {
         report.contains("audit.exactly-once"),
         "violation must be named:\n{report}"
     );
+    let (_, window) = report
+        .split_once("span log (last 256 events at or before ")
+        .unwrap_or_else(|| panic!("report must carry the span-log window:\n{report}"));
+    // The window ends at the earliest violation that carries a time and a
+    // host; those found while merging shards (host `u32::MAX`) carry neither.
+    let first = c
+        .auditor()
+        .borrow()
+        .violations()
+        .iter()
+        .filter(|v| v.host != u32::MAX)
+        .min_by_key(|v| (v.at, v.host))
+        .cloned()
+        .expect("a violation inside one host's event stream");
+    assert_eq!(first.invariant, "audit.exactly-once");
+    let uid = first.detail.split_whitespace().nth(1).expect("detail names the uid");
+    let marker = format!("audit/violation instant [audit.exactly-once: uid {uid} ");
+    let at = format!("t={} h{} ", first.at, first.host);
     assert!(
-        report.contains("trace (most recent last):"),
-        "report must carry the trace dump:\n{report}"
+        window.lines().any(|l| l.starts_with(&at) && l.contains(&marker)),
+        "window must hold the first violation's instant ({at}…{marker}):\n{report}"
     );
+    assert!(window.lines().count() > 2, "window must show what led up to it:\n{report}");
 }
 
 /// Mutation check: a component that acquires credits without limit (here

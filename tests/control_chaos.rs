@@ -113,7 +113,6 @@ struct Outcome {
     ledger: Vec<(u64, MsgFate)>,
     violations: u64,
     spans: String,
-    trace: String,
     /// (started, completed, failed, reconciles, cached_ticks, retries).
     ctl: (u64, u64, u64, u64, u64, u64),
     /// Final placements: (vid, host, raw endpoint id).
@@ -176,7 +175,6 @@ fn run_once(shards: u32) -> Outcome {
     // service, which lives there.
     cfg.faults = FaultScheduleSpec::none().flap(LinkId(5), at_us(3_000), at_us(9_000));
     let mut c = Cluster::new(cfg);
-    c.telemetry().trace_enable();
     c.install_control(control_spec());
 
     let (vid_sa, _) = c.ctl_create_service(0, HostId(4)).expect("alpha service");
@@ -259,7 +257,6 @@ fn run_once(shards: u32) -> Outcome {
         },
         violations: c.auditor().borrow().total_violations(),
         spans: c.telemetry().handle().map(|t| t.borrow().span_log()).unwrap_or_default(),
-        trace: c.telemetry().trace_text(),
         clients: [tid_a, tid_b]
             .iter()
             .map(|&tid| {
@@ -329,5 +326,4 @@ fn coordinator_survives_campaign_and_matches_sequential() {
     assert_eq!(seq.ledger, par.ledger, "audit ledger");
     assert_eq!(seq.violations, par.violations, "violations");
     assert_eq!(seq.spans, par.spans, "span log");
-    assert_eq!(seq.trace, par.trace, "trace ring");
 }

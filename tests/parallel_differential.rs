@@ -1,7 +1,7 @@
 //! Differential suite for the conservative parallel executor: for any
 //! shard count the results must be **byte-identical** to the sequential
 //! engine — same event count, same final clock, same audit ledger, same
-//! telemetry span log, same causal trace, same application results.
+//! telemetry span log, same application results.
 //!
 //! Covers ≥4 seeds × {2, 4, 8} shards × two topologies (crossbar and a
 //! small fat tree), including a faulty-link configuration whose drops
@@ -95,7 +95,6 @@ struct Outcome {
     ledger: Vec<(u64, MsgFate)>,
     violations: u64,
     spans: String,
-    trace: String,
     replies: Vec<(u32, u64)>,
     /// Cluster-wide `(unbinds, resyncs, failovers)` from the NIC stats —
     /// the recovery-path shape, compared exactly across shard counts.
@@ -131,7 +130,6 @@ fn run(sc: &Scenario, shards: u32) -> Outcome {
     cfg.corrupt_prob = sc.corrupt_prob;
     cfg.faults = sc.faults.clone();
     let mut c = Cluster::new(cfg);
-    c.telemetry().trace_enable();
 
     let servers: Vec<GlobalEp> = (0..n).map(|h| c.create_endpoint(HostId(h))).collect();
     let clients_ep: Vec<GlobalEp> = (0..n).map(|h| c.create_endpoint(HostId(h))).collect();
@@ -165,7 +163,6 @@ fn run(sc: &Scenario, shards: u32) -> Outcome {
         .handle()
         .map(|t| t.borrow().span_log())
         .unwrap_or_default();
-    let trace = c.telemetry().trace_text();
     let replies = client_tids
         .iter()
         .map(|&(h, tid)| {
@@ -183,7 +180,6 @@ fn run(sc: &Scenario, shards: u32) -> Outcome {
         ledger,
         violations,
         spans,
-        trace,
         replies,
         recovery,
     }
@@ -211,7 +207,6 @@ fn check_scenario(sc: &Scenario, shard_counts: &[u32]) -> Outcome {
             sc.seed
         );
         assert_eq!(seq.spans, par.spans, "span log, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(seq.trace, par.trace, "trace ring, {s} shards, seed {:#x}", sc.seed);
         assert_eq!(
             seq.recovery, par.recovery,
             "unbind/resync/failover counts, {s} shards, seed {:#x}",
@@ -423,7 +418,7 @@ fn all_routes_down_leaf_isolated_recovers_identical() {
 }
 
 /// Everything a mixed-fidelity run observably produces: the full subset's
-/// outputs (replies, ledger, violations, spans, trace) plus every abstract
+/// outputs (replies, ledger, violations, spans) plus every abstract
 /// host's coarse counters.
 #[derive(Debug, PartialEq)]
 struct MixedOutcome {
@@ -433,7 +428,6 @@ struct MixedOutcome {
     ledger: Vec<(u64, MsgFate)>,
     violations: u64,
     spans: String,
-    trace: String,
     replies: Vec<(u32, u64)>,
     abs: Vec<(u64, u64, u64, u64, u64)>,
 }
@@ -456,7 +450,6 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
     cfg.topology = TopologySpec::FatTree { leaves: 4, hosts_per_leaf: 4, spines: 2 };
     cfg.faults = FaultScheduleSpec::none().with_bursty(GilbertElliott::mild());
     let mut c = Cluster::new(cfg);
-    c.telemetry().trace_enable();
 
     let servers: Vec<GlobalEp> = (0..FULL).map(|h| c.create_endpoint(HostId(h))).collect();
     let clients_ep: Vec<GlobalEp> = (0..FULL).map(|h| c.create_endpoint(HostId(h))).collect();
@@ -502,7 +495,6 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
         ledger,
         violations,
         spans: c.telemetry().handle().map(|t| t.borrow().span_log()).unwrap_or_default(),
-        trace: c.telemetry().trace_text(),
         replies: client_tids
             .iter()
             .map(|&(h, tid)| {
@@ -554,7 +546,6 @@ fn mixed_fidelity_matches_sequential() {
                 "violations, {shards} shards, seed {seed:#x}"
             );
             assert_eq!(seq.spans, par.spans, "span log, {shards} shards, seed {seed:#x}");
-            assert_eq!(seq.trace, par.trace, "trace ring, {shards} shards, seed {seed:#x}");
         }
     }
 }
@@ -949,7 +940,6 @@ struct CtlOutcome {
     ledger: Vec<(u64, MsgFate)>,
     violations: u64,
     spans: String,
-    trace: String,
 }
 
 /// An all-full-fidelity 16-host fat tree (8 leaves, so 8 shards are
@@ -969,7 +959,6 @@ fn fat_tree_campaign_with_migrations_matches_sequential() {
             .flap(LinkId(32 + 2 * 2), at_us(1_500), at_us(4_000))
             .degrade(LinkId(48 + 5 * 2 + 1), at_us(2_000), at_us(6_000), 0.2, 0.0);
         let mut c = Cluster::new(cfg);
-        c.telemetry().trace_enable();
         let echo: vnet::corelib::EpFactory = std::sync::Arc::new(|gep| Box::new(Echo::new(gep.ep)));
         c.install_control(ControlSpec {
             tenants: vec![TenantSpec {
@@ -1025,7 +1014,6 @@ fn fat_tree_campaign_with_migrations_matches_sequential() {
             ledger: a.borrow().ledger_snapshot(),
             violations: a.borrow().total_violations(),
             spans: c.telemetry().handle().map(|t| t.borrow().span_log()).unwrap_or_default(),
-            trace: c.telemetry().trace_text(),
         };
         (out, c.shards(), c.relay_delay())
     };
@@ -1045,6 +1033,5 @@ fn fat_tree_campaign_with_migrations_matches_sequential() {
         assert_eq!(seq.ledger, par.ledger, "audit ledger, {shards} shards");
         assert_eq!(seq.violations, par.violations, "violations, {shards} shards");
         assert_eq!(seq.spans, par.spans, "span log, {shards} shards");
-        assert_eq!(seq.trace, par.trace, "trace ring, {shards} shards");
     }
 }

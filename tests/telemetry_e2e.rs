@@ -2,9 +2,11 @@
 //! schema, protocol-episode reconstruction across NIC and OS layers,
 //! determinism with hooks attached, and drop accounting.
 
+use vnet::apps::bandwidth::{EchoSameSize, PingPonger};
 use vnet::apps::clientserver::{run_client_server_cluster, CsConfig, CsMode};
 use vnet::prelude::*;
 use vnet::sim::telemetry::json::Json;
+use vnet::sim::Telemetry;
 use vnet::Cluster;
 
 /// Parse a Chrome trace export and return the `traceEvents` array.
@@ -167,26 +169,61 @@ fn telemetry_does_not_perturb_protocol() {
     assert_eq!(run(false), run(true), "telemetry hooks changed protocol behavior");
 }
 
-/// Satellite fix: trace-ring evictions surface in the unified snapshot as
-/// `trace.dropped_events` instead of vanishing silently.
+/// Span-log overflow surfaces in the unified snapshot as
+/// `telemetry.dropped_spans` instead of vanishing silently, and an audit
+/// report over an overflowed log says so.
 #[test]
-fn trace_ring_drops_are_counted_in_snapshot() {
-    let c = Cluster::builder().hosts(2).tracing(true).build();
-    assert_eq!(c.telemetry().snapshot().counter("trace.dropped_events"), 0);
-    {
-        let mut ring = c.world().trace.borrow_mut();
-        for i in 0..5000u32 {
-            ring.record(SimTime::ZERO, 0, "test", format!("entry {i}"));
-        }
+fn span_log_drops_are_counted_in_snapshot() {
+    let c = Cluster::builder().hosts(2).telemetry(true).build();
+    let log = c.telemetry().handle().expect("telemetry attached");
+    *log.borrow_mut() = Telemetry::with_span_cap(16);
+    assert_eq!(c.telemetry().snapshot().counter("telemetry.dropped_spans"), 0);
+    for i in 0..40u32 {
+        log.borrow_mut().instant(SimTime::ZERO, 0, "test", "entry", format!("entry {i}"));
     }
-    let dropped = c.telemetry().snapshot().counter("trace.dropped_events");
-    assert!(dropped > 0, "5000 records must overflow the 4096-entry ring");
-    assert!(c.telemetry().trace_text().contains("earlier entries dropped"));
+    let dropped = c.telemetry().snapshot().counter("telemetry.dropped_spans");
+    assert_eq!(dropped, 24, "40 instants must overflow the 16-event log by 24");
+    // 33 acquisitions against the 32-credit window trip the auditor.
+    for uid in 0..33u64 {
+        c.auditor().borrow_mut().on_credit_acquire(c.now(), 0, 0, 0, 1000 + uid);
+    }
+    let report = c.audit().expect_err("an overflowed credit window must be caught");
+    assert!(report.contains("telemetry.dropped_spans = 25"), "{report}");
+    assert!(report.contains("test/entry instant [entry 15]"), "{report}");
+}
+
+/// `host{N}.nic.frames_tx`, `frames_rx` and `dma_bytes` are counted only
+/// with telemetry attached, and they move with their host into a shard
+/// and back: a 2-shard run reports exactly the sequential values.
+#[test]
+fn nic_frame_counters_need_telemetry_and_survive_sharding() {
+    let run = |telemetry: bool, shards: u32| {
+        let mut c =
+            Cluster::builder().hosts(2).seed(11).telemetry(telemetry).shards(shards).build();
+        let a = c.create_endpoint(HostId(0));
+        let b = c.create_endpoint(HostId(1));
+        c.build_virtual_network(&[a, b]);
+        c.spawn_thread(HostId(1), Box::new(EchoSameSize { ep: b.ep }));
+        c.spawn_thread(HostId(0), Box::new(PingPonger::new(a.ep, 4096, 20)));
+        c.run_for(SimDuration::from_millis(2));
+        c.run_for(SimDuration::from_millis(8));
+        assert_eq!(c.shards(), shards);
+        let snap = c.telemetry().snapshot();
+        let names = ["frames_tx", "frames_rx", "dma_bytes"];
+        (0..2)
+            .flat_map(|h| names.map(|m| format!("host{h}.nic.{m}")))
+            .map(|n| snap.get(&n).map(|_| snap.counter(&n)))
+            .collect::<Vec<_>>()
+    };
+    let seq = run(true, 1);
+    assert!(seq.iter().all(|v| v.is_some_and(|n| n > 0)), "{seq:?}");
+    assert_eq!(run(true, 2), seq, "2-shard counters");
+    assert!(run(false, 1).iter().all(Option::is_none), "counted without telemetry");
 }
 
 /// The builder and the unified handle compose: a telemetry-enabled
-/// cluster built fluently exposes registry metrics and an exportable
-/// (possibly empty) trace; snapshot deltas subtract counters.
+/// cluster built fluently exposes the NIC frame counters and an
+/// exportable (possibly empty) trace; snapshot deltas subtract counters.
 #[test]
 fn builder_telemetry_snapshot_delta_roundtrip() {
     let mut c = Cluster::builder().hosts(2).telemetry(true).seed(7).build();
@@ -203,10 +240,10 @@ fn builder_telemetry_snapshot_delta_roundtrip() {
     for (name, _) in delta.entries() {
         assert!(delta.counter(name) <= after.counter(name), "delta {name} exceeds total");
     }
-    // Registry metrics (attached hooks) appear under their full names.
+    // Telemetry-only NIC counters appear under their full names.
     assert!(
         after.get("host0.nic.frames_tx").is_some(),
-        "registry counter missing from snapshot"
+        "telemetry counter missing from snapshot"
     );
     // Snapshot artifacts are valid JSON.
     let parsed = Json::parse(&after.to_json()).expect("metrics snapshot JSON");
