@@ -7,9 +7,8 @@
 //! credit-aware sends and spin-block waiting (the spin-then-block receive
 //! is the mechanism behind the implicit co-scheduling of §6.3).
 
-use std::collections::HashMap;
 use vnet_core::prelude::*;
-use vnet_sim::SimTime;
+use vnet_sim::{FxHashMap, SimTime};
 
 /// One superstep of a rank: compute, then exchange.
 #[derive(Clone, Debug, Default)]
@@ -88,7 +87,7 @@ pub struct BspRunner<A: BspApp> {
     step_idx: u64,
     cur: SuperStep,
     send_pos: usize,
-    recv_counts: HashMap<u64, u32>,
+    recv_counts: FxHashMap<u64, u32>,
     pending_replies: Vec<DeliveredMsg>,
     idle_polls: u32,
     /// Consecutive empty polls before blocking on the event mask
@@ -113,7 +112,7 @@ impl<A: BspApp> BspRunner<A> {
             step_idx: 0,
             cur: SuperStep::default(),
             send_pos: 0,
-            recv_counts: HashMap::new(),
+            recv_counts: FxHashMap::default(),
             pending_replies: Vec::new(),
             idle_polls: 0,
             spin_polls: 12,

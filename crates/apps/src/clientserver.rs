@@ -13,10 +13,9 @@
 //! §4 virtualization machinery on the fly — exactly the paper's "page
 //! thrash test".
 
-use std::collections::HashMap;
 use vnet_core::prelude::*;
 use vnet_sim::stats::Sampler;
-use vnet_sim::SimTime;
+use vnet_sim::{FxHashMap, SimTime};
 
 /// Server structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,7 +116,7 @@ pub struct CsClient {
     pub bounced: u64,
     /// RTT samples, µs.
     pub rtt: Sampler,
-    inflight: HashMap<u64, SimTime>,
+    inflight: FxHashMap<u64, SimTime>,
 }
 
 impl CsClient {
@@ -129,7 +128,7 @@ impl CsClient {
             completed: 0,
             bounced: 0,
             rtt: Sampler::default(),
-            inflight: HashMap::new(),
+            inflight: FxHashMap::default(),
         }
     }
 }

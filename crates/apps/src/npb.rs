@@ -352,6 +352,7 @@ pub fn speedup_series(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_sim::FxHashSet;
 
     #[test]
     fn schedules_are_consistent_across_ranks() {
@@ -428,7 +429,7 @@ mod tests {
             // Transpose steps are the ones with (p-1)-destination fanout.
             let mut transposes = 0;
             for st in &sched {
-                let dsts: std::collections::HashSet<usize> =
+                let dsts: FxHashSet<usize> =
                     st.sends.iter().map(|&(d, _)| d).collect();
                 if dsts.len() == p - 1 {
                     let bytes: u64 = st.sends.iter().map(|&(_, b)| b as u64).sum();

@@ -9,8 +9,8 @@
 //! `PUT(addr, value)` / bulk put (payload write + ack). The initiator uses
 //! [`OneSided`] to issue operations and harvest completions.
 
-use std::collections::HashMap;
 use vnet_core::prelude::*;
+use vnet_sim::FxHashMap;
 
 /// Handler: read `args[1]` words at word address `args[0]`.
 pub const OP_GET: u16 = 0x6E7;
@@ -103,8 +103,8 @@ pub struct GetResult {
 /// Initiator-side bookkeeping for split-phase one-sided operations.
 #[derive(Debug, Default)]
 pub struct OneSided {
-    outstanding_gets: HashMap<u64, u64>, // uid -> addr
-    outstanding_puts: HashMap<u64, u64>,
+    outstanding_gets: FxHashMap<u64, u64>, // uid -> addr
+    outstanding_puts: FxHashMap<u64, u64>,
     /// Completed gets, in completion order.
     pub completed_gets: Vec<GetResult>,
     /// Puts acknowledged.

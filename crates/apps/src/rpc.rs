@@ -11,8 +11,8 @@
 //! `args[0..3]` = three argument words (`args[3]` carries the RPC serial),
 //! payload = bulk argument bytes. The reply mirrors it.
 
-use std::collections::HashMap;
 use vnet_core::prelude::*;
+use vnet_sim::FxHashMap;
 
 /// A procedure implementation: `(args, payload_bytes) -> (results,
 /// reply_payload_bytes)`.
@@ -21,16 +21,16 @@ pub type Procedure = Box<dyn FnMut([u64; 3], u32) -> ([u64; 3], u32) + Send>;
 /// An RPC service: a dispatch table of procedures on one endpoint.
 pub struct RpcService {
     ep: EpId,
-    procedures: HashMap<u16, Procedure>,
+    procedures: FxHashMap<u16, Procedure>,
     /// Calls served, per procedure.
-    pub served: HashMap<u16, u64>,
+    pub served: FxHashMap<u16, u64>,
     pending: Vec<DeliveredMsg>,
 }
 
 impl RpcService {
     /// Empty service on `ep`.
     pub fn new(ep: EpId) -> Self {
-        RpcService { ep, procedures: HashMap::new(), served: HashMap::new(), pending: Vec::new() }
+        RpcService { ep, procedures: FxHashMap::default(), served: FxHashMap::default(), pending: Vec::new() }
     }
 
     /// Register procedure `proc_num`. Builder-style.
@@ -95,7 +95,7 @@ pub struct RpcCompletion {
 #[derive(Default)]
 pub struct RpcClient {
     next_serial: u64,
-    outstanding: HashMap<u64, u16>, // serial -> proc
+    outstanding: FxHashMap<u64, u16>, // serial -> proc
     /// Completions in arrival order (drain with `take_completions`).
     pub completions: Vec<RpcCompletion>,
 }

@@ -117,13 +117,14 @@ pub fn provision(
 mod tests {
     use super::*;
     use vnet_core::ClusterConfig;
+    use vnet_sim::FxHashSet;
     use vnet_sim::SimDuration as D;
 
     #[test]
     fn layout_translation_round_trips() {
         let a = GlobalArray::new(1000, 4, 16);
         // Every index maps to a unique (owner, addr) pair within bounds.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for i in 0..1000 {
             let (owner, addr) = a.locate(i);
             assert!(owner < 4);

@@ -50,9 +50,11 @@
 use std::time::Instant;
 use vnet_apps::bsp::{launch_job, BspApp, BspRunner, SuperStep};
 use vnet_apps::collectives;
-use vnet_bench::{emit_telemetry, f1, f2, init_fidelity_env, quick_mode, with_shards_arg, Table};
+use vnet_bench::{
+    emit_telemetry, f1, f2, init_fidelity_env, quick_mode, with_shards_arg, RefHeap, Table,
+};
 use vnet_core::prelude::*;
-use vnet_sim::{Due, RefHeap, SimRng, TimingWheel};
+use vnet_sim::{Due, SimRng, TimingWheel};
 
 // ------------------------------------------------------------ timer churn
 

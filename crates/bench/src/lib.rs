@@ -10,6 +10,9 @@
 use std::fs;
 use std::path::PathBuf;
 
+mod ref_heap;
+pub use ref_heap::RefHeap;
+
 /// A simple result table: header + rows, printable and CSV-serializable.
 #[derive(Clone, Debug)]
 pub struct Table {

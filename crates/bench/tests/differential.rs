@@ -9,7 +9,8 @@
 //! with no property-testing dependency.
 
 use std::fmt::Write as _;
-use vnet_sim::{Due, RefHeap, SimRng, SimTime, TimingWheel};
+use vnet_bench::RefHeap;
+use vnet_sim::{Due, SimRng, SimTime, TimingWheel};
 
 /// The two schedulers behind one face so the driver below is the same
 /// workload, operation for operation, on both.

@@ -290,11 +290,11 @@ pub(crate) fn env_lookup(name: &str) -> Option<String> {
 #[cfg(test)]
 pub(crate) mod test_env {
     use std::cell::RefCell;
-    use std::collections::HashMap;
+    use vnet_sim::FxHashMap;
 
     thread_local! {
-        static OVERRIDES: RefCell<HashMap<String, Option<String>>> =
-            RefCell::new(HashMap::new());
+        static OVERRIDES: RefCell<FxHashMap<String, Option<String>>> =
+            RefCell::new(FxHashMap::default());
     }
 
     pub(crate) fn set(name: &str, value: Option<&str>) {

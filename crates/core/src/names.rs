@@ -7,13 +7,13 @@
 //! (`"nfs/server0"`, `"mpi/job42/rank3"`) and peers resolve them into
 //! [`GlobalEp`]s to install in their translation tables.
 
-use std::collections::HashMap;
 use vnet_nic::GlobalEp;
+use vnet_sim::FxHashMap;
 
 /// A string-keyed endpoint registry.
 #[derive(Debug, Default)]
 pub struct NameService {
-    names: HashMap<String, GlobalEp>,
+    names: FxHashMap<String, GlobalEp>,
 }
 
 impl NameService {

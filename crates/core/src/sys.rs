@@ -15,13 +15,12 @@
 use crate::config::CostModel;
 use crate::user::UserEpState;
 use std::any::Any;
-use std::collections::HashMap;
 use vnet_nic::{
     DeliveredMsg, EndpointImage, EpId, GlobalEp, Nic, NicOut, PendingSend, PollOutcome, PostError,
     QueueSel, SendRequest, UserMsg,
 };
 use vnet_os::{SegmentDriver, WriteOutcome};
-use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime};
+use vnet_sim::{AuditHandle, Auditor, FxHashMap, SimDuration, SimRng, SimTime};
 
 /// How a thread yields the CPU after a burst of work.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -87,8 +86,8 @@ pub struct Sys<'a> {
     pub(crate) host: vnet_net::HostId,
     pub(crate) nic: &'a mut Nic,
     pub(crate) os: &'a mut SegmentDriver,
-    pub(crate) user: &'a mut HashMap<EpId, UserEpState>,
-    pub(crate) keys: &'a HashMap<GlobalEp, vnet_nic::ProtectionKey>,
+    pub(crate) user: &'a mut FxHashMap<EpId, UserEpState>,
+    pub(crate) keys: &'a FxHashMap<GlobalEp, vnet_nic::ProtectionKey>,
     pub(crate) cost: &'a CostModel,
     pub(crate) credits: u32,
     pub(crate) rng: &'a mut SimRng,

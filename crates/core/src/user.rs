@@ -7,8 +7,8 @@
 //! communication operation specifies the source endpoint and a translation
 //! table index for the destination endpoint."
 
-use std::collections::HashMap;
 use vnet_nic::{GlobalEp, ProtectionKey};
+use vnet_sim::FxHashMap;
 
 /// One translation-table entry: where index *i* points and the key that
 /// grants delivery there.
@@ -81,10 +81,10 @@ pub struct UserEpState {
     /// Tenant byte budget; `None` means unmetered (services, system eps).
     pub quota: Option<EpQuota>,
     /// Outstanding (unreplied) requests per translation index.
-    outstanding: HashMap<usize, u32>,
+    outstanding: FxHashMap<usize, u32>,
     /// uid → translation index, for credit recovery when the reply (or the
     /// undeliverable return) comes back.
-    in_flight: HashMap<u64, usize>,
+    in_flight: FxHashMap<u64, usize>,
 }
 
 impl UserEpState {

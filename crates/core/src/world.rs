@@ -17,7 +17,7 @@ use crate::sys::{Step, Sys, ThreadBody};
 use crate::user::UserEpState;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::Arc;
 use vnet_net::{FaultOp, FaultPlan, HostId, Packet, Partition, Phase1, RouteOracle, Topology};
@@ -27,8 +27,8 @@ use vnet_nic::{
 use vnet_os::{BlockReason, OsEvent, OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::telemetry::MetricsSnapshot;
 use vnet_sim::{
-    AuditHandle, Auditor, Ctx, SimDuration, SimRng, SimTime, SimWorld, Telemetry, TelemetryHandle,
-    INGRESS_KEY_BIT,
+    AuditHandle, Auditor, Ctx, FxHashMap, SimDuration, SimRng, SimTime, SimWorld, Telemetry,
+    TelemetryHandle, INGRESS_KEY_BIT,
 };
 
 /// Minimum CPU time charged per thread burst: no user-level loop runs in
@@ -266,7 +266,7 @@ impl EmitTimes {
 pub struct HostEnv<'a> {
     pub(crate) cfg: &'a ClusterConfig,
     pub(crate) fabric: &'a mut FabricSlot,
-    pub(crate) keys: &'a HashMap<GlobalEp, ProtectionKey>,
+    pub(crate) keys: &'a FxHashMap<GlobalEp, ProtectionKey>,
     pub(crate) auditor: &'a AuditHandle,
     pub(crate) outbox: &'a mut Vec<(SimTime, u64, bool, Packet<Frame>)>,
     pub(crate) emits: &'a mut EmitTimes,
@@ -322,13 +322,13 @@ pub struct FullHost {
     /// The thread scheduler.
     pub sched: Scheduler,
     /// User-level endpoint state.
-    pub user: HashMap<EpId, UserEpState>,
-    threads: HashMap<Tid, ThreadRec>,
+    pub user: FxHashMap<EpId, UserEpState>,
+    threads: FxHashMap<Tid, ThreadRec>,
     cpu: CpuState,
     rng: SimRng,
     /// Control-plane-owned service threads, by the endpoint they serve
     /// (killed when the endpoint migrates away).
-    ctl_threads: HashMap<EpId, Tid>,
+    ctl_threads: FxHashMap<EpId, Tid>,
 }
 
 impl FullHost {
@@ -681,7 +681,7 @@ pub struct World {
     /// The network model (full or delay-only; see [`FabricSlot`]).
     pub fabric: FabricSlot,
     /// Protection keys of every endpoint (the rendezvous snapshot).
-    pub keys: HashMap<GlobalEp, ProtectionKey>,
+    pub keys: FxHashMap<GlobalEp, ProtectionKey>,
     /// Cross-layer invariant auditor; every full-fidelity NIC and segment
     /// driver reports protocol events into it (delivery ledger, credit
     /// conservation, stop-and-wait channel discipline, endpoint frame
@@ -787,15 +787,15 @@ impl World {
                         nic,
                         os,
                         sched: Scheduler::new(cfg.sched.clone()),
-                        user: HashMap::new(),
-                        threads: HashMap::new(),
+                        user: FxHashMap::default(),
+                        threads: FxHashMap::default(),
                         cpu: CpuState {
                             gen: 0,
                             sched_at: SimTime::MAX,
                             busy_until: SimTime::ZERO,
                         },
                         rng,
-                        ctl_threads: HashMap::new(),
+                        ctl_threads: FxHashMap::default(),
                     })));
                 }
             }
@@ -803,7 +803,7 @@ impl World {
         World {
             fabric,
             hosts,
-            keys: HashMap::new(),
+            keys: FxHashMap::default(),
             key_rng: root.derive(0x4B45_5953),
             auditor,
             telemetry,

@@ -9,7 +9,7 @@
 use vnet_core::prelude::*;
 use vnet_core::{Cluster, ClusterConfig};
 use vnet_sim::SimDuration as D;
-use vnet_sim::SimRng;
+use vnet_sim::{FxHashSet, SimRng};
 
 struct Echo {
     ep: EpId,
@@ -40,7 +40,7 @@ struct Client {
     bytes: u32,
     sent: u32,
     replies: u32,
-    seen: std::collections::HashSet<u64>,
+    seen: FxHashSet<u64>,
     dup: bool,
 }
 

@@ -24,8 +24,7 @@
 //! what keeps sharded runs byte-identical to sequential ones.
 
 use crate::topology::LinkId;
-use std::collections::HashMap;
-use vnet_sim::{SimDuration, SimRng, SimTime};
+use vnet_sim::{FxHashMap, SimDuration, SimRng, SimTime};
 
 /// Derivation tag for the Gilbert–Elliott chain root. Per-source streams
 /// use tags `0..n_hosts` (< 2^32), so any tag above that is collision-free.
@@ -138,7 +137,7 @@ struct GeChain {
 struct GeModel {
     params: GilbertElliott,
     root: SimRng,
-    chains: HashMap<LinkId, GeChain>,
+    chains: FxHashMap<LinkId, GeChain>,
 }
 
 impl GeModel {
@@ -176,10 +175,10 @@ pub struct FaultPlan {
     pub corrupt_prob: f64,
     /// Down links, refcounted so overlapping down windows (a link-flap
     /// window overlapping its switch's failure window) nest correctly.
-    down: HashMap<LinkId, u32>,
+    down: FxHashMap<LinkId, u32>,
     /// Active degraded windows per link: a stack of `(drop, corrupt)`
     /// overrides; the effective rate is the max over active entries.
-    degraded: HashMap<LinkId, Vec<(f64, f64)>>,
+    degraded: FxHashMap<LinkId, Vec<(f64, f64)>>,
     /// Gilbert–Elliott bursty-error model, when installed.
     ge: Option<GeModel>,
     /// Root from which per-source streams derive (`root.derive(src)`),
@@ -195,8 +194,8 @@ impl FaultPlan {
         FaultPlan {
             drop_prob: 0.0,
             corrupt_prob: 0.0,
-            down: HashMap::new(),
-            degraded: HashMap::new(),
+            down: FxHashMap::default(),
+            degraded: FxHashMap::default(),
             ge: None,
             root: SimRng::seed_from_u64(seed),
             streams: Vec::new(),
@@ -215,7 +214,7 @@ impl FaultPlan {
     /// Install the Gilbert–Elliott bursty error model. Chain seeds derive
     /// from the plan's root, so a clone installs identical chains.
     pub fn install_bursty(&mut self, params: GilbertElliott) {
-        self.ge = Some(GeModel { params, root: self.root.derive(GE_ROOT_TAG), chains: HashMap::new() });
+        self.ge = Some(GeModel { params, root: self.root.derive(GE_ROOT_TAG), chains: FxHashMap::default() });
     }
 
     /// Whether a bursty error model is installed.

@@ -19,8 +19,7 @@
 use crate::fabric::NetConfig;
 use crate::fault::FaultOp;
 use crate::topology::{LinkId, Topology, TopologySpec};
-use std::collections::HashMap;
-use vnet_sim::{PairLookahead, SimDuration, SimTime};
+use vnet_sim::{FxHashMap, PairLookahead, SimDuration, SimTime};
 
 /// A plan for splitting one simulation across shards.
 #[derive(Clone, Debug)]
@@ -119,7 +118,7 @@ impl Partition {
         if n <= 1 {
             return PairLookahead::uniform(n, self.lookahead);
         }
-        let mut down: HashMap<u32, u32> = HashMap::new();
+        let mut down: FxHashMap<u32, u32> = FxHashMap::default();
         let mut intervals = vec![(0u64, self.pair_edges(topo, cfg, &down))];
         let mut i = 0;
         while i < campaign.len() {
@@ -182,7 +181,7 @@ impl Partition {
     /// `s → d` exists iff `s`'s ascending links and `d`'s descending
     /// links are all up, and those sets touch only via the shared spine
     /// choice — so aggregating per (shard, spine) loses nothing.
-    fn pair_edges(&self, topo: &Topology, cfg: &NetConfig, down: &HashMap<u32, u32>) -> Vec<u64> {
+    fn pair_edges(&self, topo: &Topology, cfg: &NetConfig, down: &FxHashMap<u32, u32>) -> Vec<u64> {
         let n = self.shards() as usize;
         let hosts = topo.host_count();
         let mut edges = vec![u64::MAX; n * n];

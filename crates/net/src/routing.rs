@@ -9,7 +9,7 @@
 
 use crate::packet::HostId;
 use crate::topology::{LinkId, Topology};
-use std::collections::HashMap;
+use vnet_sim::FxHashMap;
 
 /// A cached source route: the link ids a packet traverses in order.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub struct Route {
 /// Route cache keyed by `(src, dst, channel)`.
 #[derive(Debug, Default)]
 pub struct RouteTable {
-    cache: HashMap<(HostId, HostId, u8), Route>,
+    cache: FxHashMap<(HostId, HostId, u8), Route>,
 }
 
 impl RouteTable {

@@ -26,8 +26,7 @@
 use crate::fault::{FaultOp, GilbertElliott};
 use crate::packet::HostId;
 use crate::topology::{LinkId, Topology};
-use std::collections::HashMap;
-use vnet_sim::SimTime;
+use vnet_sim::{FxHashMap, SimTime};
 
 /// A timed down window on one link: down at `from`, back up at `until`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -173,7 +172,7 @@ impl FaultScheduleSpec {
 pub struct RouteOracle {
     topo: Topology,
     /// Disjoint, sorted down windows per link.
-    windows: HashMap<LinkId, Vec<(SimTime, SimTime)>>,
+    windows: FxHashMap<LinkId, Vec<(SimTime, SimTime)>>,
     /// The last scheduled transition instant (`SimTime::ZERO` if none).
     last_transition: SimTime,
 }
@@ -181,7 +180,7 @@ pub struct RouteOracle {
 impl RouteOracle {
     /// Build the oracle for `spec` lowered against `topo`.
     pub fn new(topo: Topology, spec: &FaultScheduleSpec) -> Self {
-        let mut raw: HashMap<LinkId, Vec<(SimTime, SimTime)>> = HashMap::new();
+        let mut raw: FxHashMap<LinkId, Vec<(SimTime, SimTime)>> = FxHashMap::default();
         let last = spec.compile(&topo).last().map_or(SimTime::ZERO, |&(t, _)| t);
         for f in &spec.flaps {
             raw.entry(f.link).or_default().push((f.from, f.until));

@@ -289,6 +289,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_sim::FxHashSet;
 
     #[test]
     fn now_cluster_dimensions() {
@@ -324,7 +325,7 @@ mod tests {
     #[test]
     fn channels_select_distinct_spines() {
         let t = Topology::build(TopologySpec::now_cluster());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for ch in 0..5 {
             let mut r = vec![];
             t.route(HostId(0), HostId(99), ch, &mut r);

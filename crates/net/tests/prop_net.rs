@@ -5,7 +5,7 @@
 //! property-testing crate, so the suite builds offline.
 
 use vnet_net::{Fabric, FaultPlan, HostId, InjectOutcome, NetConfig, Packet, Topology, TopologySpec};
-use vnet_sim::{SimRng, SimTime};
+use vnet_sim::{FxHashSet, SimRng, SimTime};
 
 fn random_fat_tree(rng: &mut SimRng) -> TopologySpec {
     TopologySpec::FatTree {
@@ -43,7 +43,7 @@ fn routes_valid() {
                 }
                 assert_eq!(*r.last().unwrap(), topo.host_down_link(HostId(d)), "case {case}");
                 // No link repeats within one route (loop freedom).
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = FxHashSet::default();
                 for l in &r {
                     assert!(seen.insert(*l), "case {case}: route revisits a link");
                 }

@@ -23,10 +23,12 @@ use crate::msg::{
 use crate::sched::WrrScheduler;
 use crate::stats::NicStats;
 use crate::tel::NicTelemetry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use vnet_net::{HostId, LinkId, Packet, RouteOracle};
-use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime, TelemetryHandle};
+use vnet_sim::{
+    AuditHandle, Auditor, FxHashMap, FxHashSet, SimDuration, SimRng, SimTime, TelemetryHandle,
+};
 
 /// Events delivered to a NIC by the simulation engine.
 #[derive(Clone, Debug)]
@@ -139,7 +141,7 @@ struct StagedRecv {
 /// Bounded set of recently delivered message uids (exactly-once filter).
 #[derive(Default)]
 struct DedupWindow {
-    set: HashSet<u64>,
+    set: FxHashSet<u64>,
     order: VecDeque<u64>,
 }
 
@@ -164,36 +166,36 @@ pub struct Nic {
     host: HostId,
     cfg: NicConfig,
     frames: Vec<FrameSlot>,
-    ep_frame: HashMap<EpId, usize>,
-    registered: HashSet<EpId>,
-    tx: HashMap<ChannelKey, ChannelState>,
-    rx: HashMap<ChannelKey, RxChannel>,
+    ep_frame: FxHashMap<EpId, usize>,
+    registered: FxHashSet<EpId>,
+    tx: FxHashMap<ChannelKey, ChannelState>,
+    rx: FxHashMap<ChannelKey, RxChannel>,
     dedup: DedupWindow,
     dma: DmaEngine,
     sched: WrrScheduler,
     inbox: VecDeque<FwWork>,
-    staging_out: HashMap<u64, StagedSend>,
-    staging_in: HashMap<u64, StagedRecv>,
+    staging_out: FxHashMap<u64, StagedSend>,
+    staging_in: FxHashMap<u64, StagedRecv>,
     /// Retry metadata for channel-bound messages:
     /// `(transient nacks, unbind cycles, destination, key)`.
-    pending_meta: HashMap<u64, (u32, u32, GlobalEp, crate::ids::ProtectionKey)>,
-    in_flight_per_ep: HashMap<EpId, u32>,
-    unload_dma_started: HashSet<EpId>,
-    need_resident_pending: HashSet<EpId>,
-    pending_returns: HashMap<EpId, VecDeque<DeliveredMsg>>,
+    pending_meta: FxHashMap<u64, (u32, u32, GlobalEp, crate::ids::ProtectionKey)>,
+    in_flight_per_ep: FxHashMap<EpId, u32>,
+    unload_dma_started: FxHashSet<EpId>,
+    need_resident_pending: FxHashSet<EpId>,
+    pending_returns: FxHashMap<EpId, VecDeque<DeliveredMsg>>,
     fw_busy_until: SimTime,
     fw_step_gen: u64,
     fw_scheduled_at: SimTime,
     clock: u64,
     uid_counter: u64,
-    chan_rr: HashMap<HostId, u8>,
+    chan_rr: FxHashMap<HostId, u8>,
     /// Per-peer smoothed RTT estimate (µs) and variance, from reflected
     /// timestamps (adaptive retransmission scheduling, §8).
-    peer_rtt: HashMap<HostId, (f64, f64)>,
+    peer_rtt: FxHashMap<HostId, (f64, f64)>,
     /// Coalesced positive acks awaiting flush, per peer.
-    ack_buf: HashMap<HostId, Vec<AckEntry>>,
+    ack_buf: FxHashMap<HostId, Vec<AckEntry>>,
     /// Flush-timer generation per peer.
-    ack_flush_gen: HashMap<HostId, u64>,
+    ack_flush_gen: FxHashMap<HostId, u64>,
     rng: SimRng,
     stats: NicStats,
     /// Reusable output buffer for one firmware step (capacity retained
@@ -213,7 +215,7 @@ pub struct Nic {
     oracle_buf: Vec<LinkId>,
     /// Messages in a retransmission episode: uid → first timer-expiry
     /// time. Sampled into `recovery_us` when the ack finally lands.
-    troubled: HashMap<u64, SimTime>,
+    troubled: FxHashMap<u64, SimTime>,
 }
 
 impl Nic {
@@ -225,29 +227,29 @@ impl Nic {
             host,
             dma: DmaEngine::now_sbus(),
             frames,
-            ep_frame: HashMap::new(),
-            registered: HashSet::new(),
-            tx: HashMap::new(),
-            rx: HashMap::new(),
+            ep_frame: FxHashMap::default(),
+            registered: FxHashSet::default(),
+            tx: FxHashMap::default(),
+            rx: FxHashMap::default(),
             dedup: DedupWindow::default(),
             sched,
             inbox: VecDeque::new(),
-            staging_out: HashMap::new(),
-            staging_in: HashMap::new(),
-            pending_meta: HashMap::new(),
-            in_flight_per_ep: HashMap::new(),
-            unload_dma_started: HashSet::new(),
-            need_resident_pending: HashSet::new(),
-            pending_returns: HashMap::new(),
+            staging_out: FxHashMap::default(),
+            staging_in: FxHashMap::default(),
+            pending_meta: FxHashMap::default(),
+            in_flight_per_ep: FxHashMap::default(),
+            unload_dma_started: FxHashSet::default(),
+            need_resident_pending: FxHashSet::default(),
+            pending_returns: FxHashMap::default(),
             fw_busy_until: SimTime::ZERO,
             fw_step_gen: 0,
             fw_scheduled_at: SimTime::MAX,
             clock: 0,
             uid_counter: 0,
-            chan_rr: HashMap::new(),
-            peer_rtt: HashMap::new(),
-            ack_buf: HashMap::new(),
-            ack_flush_gen: HashMap::new(),
+            chan_rr: FxHashMap::default(),
+            peer_rtt: FxHashMap::default(),
+            ack_buf: FxHashMap::default(),
+            ack_flush_gen: FxHashMap::default(),
             rng: SimRng::seed_from_u64(seed).derive(host.0 as u64),
             stats: NicStats::default(),
             scratch_step: Vec::new(),
@@ -256,7 +258,7 @@ impl Nic {
             tel: None,
             oracle: None,
             oracle_buf: Vec::new(),
-            troubled: HashMap::new(),
+            troubled: FxHashMap::default(),
             cfg,
         }
     }

@@ -19,11 +19,10 @@
 //!   reason), unbinds, bounced messages.
 
 use crate::channel::ChannelKey;
-use std::collections::HashMap;
 use vnet_sim::telemetry::{
     MetricSet, MetricValue, MetricVisitor, SpanDetail, SpanId, TelemetryHandle,
 };
-use vnet_sim::SimTime;
+use vnet_sim::{FxHashMap, SimTime};
 
 /// Perfetto track for channel retransmit/backoff episodes.
 pub const TRACK_CHAN: &str = "nic.chan";
@@ -45,10 +44,10 @@ pub struct NicTelemetry {
     dma_bytes: u64,
     /// Open retransmission-episode span per channel; begun at the first
     /// retransmit of a binding, ended on completion or unbind.
-    retx_spans: HashMap<ChannelKey, SpanId>,
+    retx_spans: FxHashMap<ChannelKey, SpanId>,
     /// Open park/backoff span per message uid (transient-NACK backoff or
     /// post-unbind wait), ended when the message rebinds or bounces.
-    park_spans: HashMap<u64, SpanId>,
+    park_spans: FxHashMap<u64, SpanId>,
 }
 
 impl NicTelemetry {
@@ -59,8 +58,8 @@ impl NicTelemetry {
             frames_tx: 0,
             frames_rx: 0,
             dma_bytes: 0,
-            retx_spans: HashMap::new(),
-            park_spans: HashMap::new(),
+            retx_spans: FxHashMap::default(),
+            park_spans: FxHashMap::default(),
         }
     }
 

@@ -12,7 +12,7 @@ use vnet_nic::testkit::{request, Harness};
 use vnet_nic::{
     EpId, Frame, FrameKind, GlobalEp, NicConfig, PollOutcome, ProtectionKey, QueueSel, UserMsg,
 };
-use vnet_sim::{SimDuration, SimRng, SimTime};
+use vnet_sim::{FxHashSet, SimDuration, SimRng, SimTime};
 
 fn inflight(uid: u64) -> InFlight {
     InFlight {
@@ -177,7 +177,7 @@ fn exactly_once_under_arbitrary_loss() {
             }
         }
         assert_eq!(got.len(), n, "case {case}: all messages deliver (drop={drop} corrupt={corrupt})");
-        let unique: std::collections::HashSet<_> = got.iter().collect();
+        let unique: FxHashSet<_> = got.iter().collect();
         assert_eq!(unique.len(), n, "case {case}: duplicate delivery detected");
     }
 }

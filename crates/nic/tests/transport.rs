@@ -8,7 +8,7 @@ use vnet_nic::{
     DriverMsg, DriverOp, EndpointImage, EpId, NicConfig, PollOutcome, ProtectionKey, QueueSel,
 };
 use vnet_sim::telemetry::MetricSet;
-use vnet_sim::SimDuration;
+use vnet_sim::{FxHashSet, SimDuration};
 
 const KEY: ProtectionKey = ProtectionKey(42);
 
@@ -75,7 +75,7 @@ fn overrun_draws_queue_full_nacks_then_recovers() {
         }
     }
     assert_eq!(got.len(), 64, "all messages must eventually deliver");
-    let unique: std::collections::HashSet<_> = got.iter().collect();
+    let unique: FxHashSet<_> = got.iter().collect();
     assert_eq!(unique.len(), 64, "exactly-once violated");
 }
 
@@ -109,7 +109,7 @@ fn exactly_once_under_random_drops() {
         }
     }
     assert_eq!(got.len(), n, "all messages deliver despite 10% drop / 5% corrupt");
-    let unique: std::collections::HashSet<_> = got.iter().collect();
+    let unique: FxHashSet<_> = got.iter().collect();
     assert_eq!(unique.len(), n, "no duplicates despite retransmission");
     assert!(h.world.nics[0].stats().counter_value("retransmits") > 0, "drops must force retransmission");
     assert!(h.world.nics[1].stats().counter_value("crc_drops") > 0, "corruption must be seen and dropped");
@@ -385,6 +385,6 @@ fn bulk_exactly_once_under_drops() {
         }
     }
     assert_eq!(got.len(), n, "every bulk message delivers");
-    let unique: std::collections::HashSet<_> = got.iter().collect();
+    let unique: FxHashSet<_> = got.iter().collect();
     assert_eq!(unique.len(), n, "bulk exactly-once violated");
 }

@@ -46,6 +46,7 @@ impl ReplacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vnet_sim::FxHashSet;
 
     fn cands() -> Vec<(EpId, SimTime, u64)> {
         vec![
@@ -76,7 +77,7 @@ mod tests {
     #[test]
     fn random_covers_all_candidates() {
         let mut rng = SimRng::seed_from_u64(1);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for _ in 0..200 {
             seen.insert(ReplacementPolicy::Random.choose(&mut rng, &cands()).unwrap());
         }

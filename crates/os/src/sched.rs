@@ -11,10 +11,10 @@
 //! composing world's job (it asks [`Scheduler::current`], runs the body,
 //! and reports back via `block`/`yield_current`/`exit_current`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use vnet_nic::EpId;
-use vnet_sim::{SimDuration, SimTime};
+use vnet_sim::{FxHashMap, SimDuration, SimTime};
 
 /// Thread identifier, unique within a node.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -67,7 +67,7 @@ enum TState {
 /// One node's thread scheduler.
 pub struct Scheduler {
     cfg: SchedConfig,
-    threads: HashMap<Tid, TState>,
+    threads: FxHashMap<Tid, TState>,
     ready: VecDeque<Tid>,
     running: Option<Tid>,
     last_ran: Option<Tid>,
@@ -82,7 +82,7 @@ impl Scheduler {
     pub fn new(cfg: SchedConfig) -> Self {
         Scheduler {
             cfg,
-            threads: HashMap::new(),
+            threads: FxHashMap::default(),
             ready: VecDeque::new(),
             running: None,
             last_ran: None,

@@ -8,10 +8,10 @@
 use crate::config::OsConfig;
 use crate::sched::Tid;
 use crate::stats::OsStats;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use vnet_nic::{DriverMsg, DriverOp, EndpointImage, EpId, ProtectionKey};
 use vnet_sim::telemetry::{SpanId, TelemetryHandle};
-use vnet_sim::{AuditHandle, Auditor, EpPhase, SimDuration, SimRng, SimTime};
+use vnet_sim::{AuditHandle, Auditor, EpPhase, FxHashMap, FxHashSet, SimDuration, SimRng, SimTime};
 
 /// Perfetto track for segment-driver residency transitions.
 pub const TRACK_SEG: &str = "os.seg";
@@ -24,11 +24,11 @@ struct OsTelemetry {
     tel: TelemetryHandle,
     host: u32,
     /// Open remap span per endpoint (first remap request → Loaded).
-    load_spans: HashMap<EpId, SpanId>,
+    load_spans: FxHashMap<EpId, SpanId>,
     /// Open eviction span per endpoint (Unload issued → Unloaded).
-    unload_spans: HashMap<EpId, SpanId>,
+    unload_spans: FxHashMap<EpId, SpanId>,
     /// Open swap-in span per endpoint (PagingIn → PageInDone).
-    pagein_spans: HashMap<EpId, SpanId>,
+    pagein_spans: FxHashMap<EpId, SpanId>,
 }
 
 impl OsTelemetry {
@@ -36,14 +36,14 @@ impl OsTelemetry {
         OsTelemetry {
             tel,
             host,
-            load_spans: HashMap::new(),
-            unload_spans: HashMap::new(),
-            pagein_spans: HashMap::new(),
+            load_spans: FxHashMap::default(),
+            unload_spans: FxHashMap::default(),
+            pagein_spans: FxHashMap::default(),
         }
     }
 
     fn begin(
-        map: &mut HashMap<EpId, SpanId>,
+        map: &mut FxHashMap<EpId, SpanId>,
         tel: &TelemetryHandle,
         host: u32,
         at: SimTime,
@@ -56,7 +56,7 @@ impl OsTelemetry {
         }
     }
 
-    fn end(map: &mut HashMap<EpId, SpanId>, tel: &TelemetryHandle, at: SimTime, ep: EpId) {
+    fn end(map: &mut FxHashMap<EpId, SpanId>, tel: &TelemetryHandle, at: SimTime, ep: EpId) {
         if let Some(id) = map.remove(&ep) {
             tel.borrow_mut().span_end(at, id);
         }
@@ -171,10 +171,10 @@ pub struct SegmentDriver {
     cfg: OsConfig,
     frames_total: u32,
     nic_occupied: u32,
-    eps: HashMap<EpId, EpRecord>,
+    eps: FxHashMap<EpId, EpRecord>,
     next_ep: u32,
     daemon_q: VecDeque<EpId>,
-    daemon_queued: HashSet<EpId>,
+    daemon_queued: FxHashSet<EpId>,
     daemon_busy: bool,
     /// Target endpoint waiting for a victim's unload to finish.
     pending_after_unload: Option<EpId>,
@@ -200,10 +200,10 @@ impl SegmentDriver {
             cfg,
             frames_total,
             nic_occupied: 0,
-            eps: HashMap::new(),
+            eps: FxHashMap::default(),
             next_ep: 0,
             daemon_q: VecDeque::new(),
-            daemon_queued: HashSet::new(),
+            daemon_queued: FxHashSet::default(),
             daemon_busy: false,
             pending_after_unload: None,
             clock: 0,
@@ -633,8 +633,9 @@ impl SegmentDriver {
             self.issue_load(now, target, out);
         } else {
             // All frames busy: evict a victim first. Candidate order is
-            // sorted so the random draw is a function of the seed alone
-            // (HashMap iteration order varies across process runs).
+            // sorted so the random draw is a function of the seed alone:
+            // map iteration order depends on insertion history, the
+            // `hashbrown` version and, in debug builds, a per-map seed.
             let mut candidates: Vec<(EpId, SimTime, u64)> = self
                 .eps
                 .iter()

@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 use vnet_nic::{DriverMsg, DriverOp, EndpointImage, EpId, ProtectionKey};
 use vnet_os::{OsConfig, OsEvent, OsOut, SegmentDriver};
-use vnet_sim::{SimDuration, SimRng, SimTime};
+use vnet_sim::{FxHashSet, SimDuration, SimRng, SimTime};
 
 /// A mock NIC + event queue that drives the segment driver's effects to
 /// completion, mimicking the real pipeline's causality.
@@ -19,7 +19,7 @@ struct MockPipeline {
     timers: VecDeque<(SimTime, OsEvent)>,
     /// Pending NIC completions (due, message).
     nic: VecDeque<(SimTime, DriverMsg)>,
-    loaded: std::collections::HashSet<EpId>,
+    loaded: FxHashSet<EpId>,
     frames: u32,
 }
 

@@ -1,34 +1,80 @@
-//! A minimal FxHash-style hasher for the simulator's internal maps.
+//! The one hasher for every simulator-internal map.
 //!
-//! The invariant auditor keys its ledgers by small integers (message
-//! uids, `(host, endpoint)` pairs) and sits on the engine's hot path in
-//! audit builds. `std`'s default SipHash is DoS-resistant but pays ~2× in
-//! throughput for keys that are never attacker-controlled here — every
-//! key is produced by the simulation itself. This module provides the
-//! classic Firefox `FxHasher` (multiply-rotate word mixing), the same
-//! construction `rustc` uses internally, written in-tree because the
-//! workspace takes no external dependencies.
+//! Every `HashMap`/`HashSet` inside the simulator — the NIC's endpoint
+//! frames, channel state, exactly-once windows and in-flight counts, the
+//! OS segment driver's endpoint records, the scheduler's threads, the
+//! user library's credit ledgers, the fabric's fault tables and the
+//! auditor's ledgers — is keyed by small integers the simulation produces
+//! itself. `std`'s default SipHash is DoS-resistant but costs several
+//! times more per lookup for keys that are never attacker-controlled
+//! here. This module provides the classic Firefox `FxHasher`
+//! (multiply-rotate word mixing), the same construction `rustc` uses
+//! internally, written in-tree because the workspace takes no external
+//! dependencies. A root `clippy.toml` disallows `std`'s `HashMap` and
+//! `HashSet` so SipHash cannot creep back in.
 //!
-//! Determinism note: unlike `RandomState`, `FxHasher` is seed-free, so
-//! map iteration order is stable across runs *of the same binary*. The
-//! auditor still never iterates its maps when reporting — canonical
-//! orderings are imposed explicitly — but stability removes a whole class
-//! of "works under one hasher" heisenbugs.
+//! Determinism: the simulation never lets map iteration order reach its
+//! outputs — where it iterates a map, it sorts first. To keep the
+//! same-seed-twice determinism tests able to catch a missing sort,
+//! [`FxBuildHasher`] starts each map's hash state from a seed: in debug
+//! builds a per-process counter, so every map built gets its own
+//! iteration order (as `RandomState` did), and in release builds the
+//! constant `0`, so the measured configuration is exactly plain FxHash.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+#[allow(clippy::disallowed_types)] // the one place std's map type is named
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+#[allow(clippy::disallowed_types)] // the one place std's set type is named
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// An `FxHashMap` pre-sized for `cap` entries.
 pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
+    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// Builds [`FxHasher`]s whose state starts at a per-map seed (see the
+/// module doc): a fresh counter value per `default()` in debug builds,
+/// `0` in release builds.
+#[derive(Clone, Debug)]
+pub struct FxBuildHasher {
+    seed: u64,
+}
+
+impl Default for FxBuildHasher {
+    #[inline]
+    fn default() -> Self {
+        #[cfg(debug_assertions)]
+        let seed = {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            static NEXT: AtomicU64 = AtomicU64::new(1);
+            // splitmix64 finaliser: a counter alone would leave the low
+            // bits the table indexes with almost unchanged.
+            let mut z = NEXT
+                .fetch_add(1, Ordering::Relaxed)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        #[cfg(not(debug_assertions))]
+        let seed = 0;
+        FxBuildHasher { seed }
+    }
+}
+
+impl BuildHasher for FxBuildHasher {
+    type Hasher = FxHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FxHasher {
+        FxHasher { hash: self.seed }
+    }
+}
 
 /// Multiply-rotate word hasher (Firefox / rustc "FxHash").
 #[derive(Default, Clone)]
@@ -92,6 +138,7 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn map_roundtrip_and_presize() {
@@ -122,5 +169,62 @@ mod tests {
             low.insert(h((7 << 40) | uid) & 0x3ff);
         }
         assert!(low.len() > 512, "low-bit spread too poor: {}", low.len());
+    }
+
+    #[test]
+    fn per_map_seed_only_in_debug_builds() {
+        let (a, b) = (FxBuildHasher::default(), FxBuildHasher::default());
+        let key = (3u32, 1u8);
+        if cfg!(debug_assertions) {
+            assert_ne!(a.hash_one(key), b.hash_one(key));
+        } else {
+            assert_eq!(a.hash_one(key), b.hash_one(key));
+            // Release builds hash exactly as an unseeded FxHasher.
+            let mut plain = FxHasher::default();
+            key.0.hash(&mut plain);
+            key.1.hash(&mut plain);
+            assert_eq!(a.hash_one(key), plain.finish());
+        }
+        // Either way, one map's hasher is stable for its lifetime.
+        assert_eq!(a.hash_one(key), a.clone().hash_one(key));
+    }
+
+    #[test]
+    fn debug_seeds_vary_small_table_order() {
+        // The determinism tests rely on two maps with the same history
+        // iterating differently; that must hold for small tables too,
+        // whose index is only the hash's lowest bits.
+        let order = || {
+            let mut m: FxHashSet<u32> = FxHashSet::default();
+            m.extend(0..12);
+            m.into_iter().collect::<Vec<_>>()
+        };
+        let first = order();
+        let varied = (0..16).any(|_| order() != first);
+        assert_eq!(varied, cfg!(debug_assertions));
+    }
+
+    /// Every key of `keys` hashes to a distinct 64-bit value.
+    fn no_collisions<K: Hash>(keys: impl Iterator<Item = K>) {
+        let b = FxBuildHasher::default();
+        let mut seen: FxHashSet<u64> = FxHashSet::default();
+        let mut n = 0;
+        for k in keys {
+            n += 1;
+            assert!(
+                seen.insert(b.hash_one(k)),
+                "64-bit collision after {n} keys"
+            );
+        }
+    }
+
+    #[test]
+    fn simulator_key_grids_do_not_collide() {
+        // `(HostId, EpId)` endpoint pairs.
+        no_collisions((0..512u32).flat_map(|h| (0..256u32).map(move |e| (h, e))));
+        // `ChannelKey { peer, idx }`.
+        no_collisions((0..16_384u32).flat_map(|p| (0..8u8).map(move |i| (p, i))));
+        // Message uids: `host << 40 | per-host counter`.
+        no_collisions((0..256u64).flat_map(|h| (0..1024u64).map(move |n| h << 40 | n)));
     }
 }

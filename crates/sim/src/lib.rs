@@ -21,6 +21,8 @@
 //!   hierarchical timing wheel ([`wheel`]) with O(1) schedule and O(1)
 //!   generation-checked cancellation; the per-event loop allocates
 //!   nothing.
+//! * **Fast internal maps.** Every map in the stack hashes its small
+//!   simulation-generated keys with [`fxhash::FxHasher`], not SipHash.
 
 #![warn(missing_docs)]
 
@@ -44,6 +46,6 @@ pub use telemetry::{
     MetricSet, MetricValue, MetricVisitor, MetricsSnapshot, SpanId, Summary, Telemetry,
     TelemetryHandle,
 };
-pub use wheel::{Due, RefHeap, TimingWheel};
+pub use wheel::{Due, TimingWheel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -48,7 +48,6 @@ use crate::fxhash::FxHashMap;
 use crate::stats::{LogHistogram, Sampler};
 use crate::time::SimTime;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -241,7 +240,7 @@ impl MetricsSnapshot {
     /// gauges and summaries take this snapshot's value. Metrics absent
     /// from `earlier` appear unchanged.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let before: HashMap<&str, &MetricValue> =
+        let before: FxHashMap<&str, &MetricValue> =
             earlier.entries.iter().map(|(n, v)| (n.as_str(), v)).collect();
         let entries = self
             .entries
@@ -552,7 +551,7 @@ impl Telemetry {
         // (host, layer) tracks actually used, for metadata.
         let mut layer_tids: Vec<&'static str> = Vec::new();
         let mut tracks: Vec<(u32, &'static str)> = Vec::new();
-        let mut begin_info: HashMap<u64, (u32, &'static str, &'static str)> = HashMap::new();
+        let mut begin_info: FxHashMap<u64, (u32, &'static str, &'static str)> = FxHashMap::default();
         let note = |layer_tids: &mut Vec<&'static str>,
                         tracks: &mut Vec<(u32, &'static str)>,
                         host: u32,
