@@ -16,8 +16,8 @@ use vnet_nic::{EpId, Frame, GlobalEp, Nic, NicOut, ProtectionKey};
 use vnet_os::{OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::{
-    run_conservative, AuditHandle, Engine, PairLookahead, ParShard, SendCell, ShardEpochs,
-    SimDuration, SimTime, INGRESS_KEY_BIT,
+    ingress_key, run_conservative, AuditHandle, Engine, PairLookahead, ParShard, SendCell,
+    ShardEpochs, SimDuration, SimTime,
 };
 
 /// Parallel-execution state, present when the configuration asks for more
@@ -766,7 +766,7 @@ impl Cluster {
                 }
                 NicOut::Inject(pkt) => match self.world.fabric.inject_src(now, pkt) {
                     Phase1::Ingress { at, seq, corrupt, pkt } => {
-                        let key = INGRESS_KEY_BIT | ((pkt.src.0 as u64) << 40) | seq;
+                        let key = ingress_key(pkt.src.0, seq);
                         self.sched_keyed_at(
                             at,
                             key,

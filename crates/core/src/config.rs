@@ -177,13 +177,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Full 100-node NOW fat tree regardless of `n` hosts in use.
-    pub fn now_fat_tree() -> Self {
-        let mut c = Self::now(100);
-        c.topology = TopologySpec::now_cluster();
-        c
-    }
-
     /// The GAM baseline configuration on `n` hosts.
     pub fn gam(n: u32) -> Self {
         let mut c = Self::now(n);

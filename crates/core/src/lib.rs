@@ -90,14 +90,14 @@ pub use control::{
     QuotaError, TenantSpec, CTL_EP_BASE,
 };
 pub use model::{
-    bounded_pareto, zipf_rank, AbsStats, AbstractTraffic, FabricModel, FabricSlot, Fidelity,
-    FidelityMap, HostModel, NicModel, OpenLoopSpec, OPEN_LOOP_HANDLER,
+    bounded_pareto, zipf_rank, AbsStats, AbstractTraffic, Fidelity, FidelityMap, OpenLoopSpec,
+    OPEN_LOOP_HANDLER,
 };
 pub use names::NameService;
 pub use observe::ClusterTelemetry;
 pub use sys::{SendError, Step, Sys, ThreadBody};
 pub use user::{EpMode, UserEpState};
-pub use world::{Event, FullHost, HostEnv, HostSlot, World};
+pub use world::{Event, FullHost, HostSlot, World};
 
 /// Common imports for applications built on virtual networks.
 pub mod prelude {

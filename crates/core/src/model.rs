@@ -1,25 +1,24 @@
-//! Pluggable fidelity boundaries: narrow traits between the composed
-//! world and its host / NIC / fabric models, plus one *abstract* fast
-//! model per boundary.
+//! Per-node fidelity: the abstract host and NIC models, the fidelity
+//! map that selects them, and the open-loop traffic samplers.
 //!
 //! The paper's value is its per-protocol detail — the NI firmware loop,
 //! the §4 residency machine, the §5.1 stop-and-wait channels — but a
 //! fleet-scale run (thousands of hosts under background traffic) cannot
-//! afford that detail at every node. Following the SimBricks recipe,
-//! the world composes *models of differing fidelity* behind narrow
-//! interfaces:
+//! afford that detail at every node. The world therefore holds, per
+//! host, one of two concrete models in a `world::HostSlot`:
 //!
-//! * [`HostModel`] — everything above the wire on one host: OS, user
-//!   library, thread scheduler, cost model. The full implementation is
-//!   `world::FullHost` (the pre-existing machinery, unchanged); the
-//!   abstract one is [`AbstractHost`], a LogP source/sink that charges
-//!   `o_s`/`o_r` CPU overheads without running the residency machine.
-//! * [`NicModel`] — the wire-facing delivery seam. Full: [`vnet_nic::Nic`]
-//!   (CRC check, protection, NACK/retransmit). Abstract: [`AbstractNic`],
-//!   a counter that accepts every frame.
-//! * [`FabricModel`] — the network between hosts. Full:
-//!   [`vnet_net::Fabric`] (per-link bandwidth arbitration). Abstract:
-//!   [`vnet_net::DelayFabric`] (route latency only).
+//! * full — `world::FullHost`: OS, user library, thread scheduler, cost
+//!   model, and the [`vnet_nic::Nic`] firmware (CRC check, protection,
+//!   NACK/retransmit);
+//! * abstract — [`AbstractHost`], a LogP source/sink that charges
+//!   `o_s`/`o_r` CPU overheads on top of an [`AbstractNic`], a counter
+//!   that accepts every frame.
+//!
+//! The fabric has a fidelity too: [`FidelityMap::fabric`] picks between
+//! [`vnet_net::Fabric::new`] (per-link bandwidth arbitration) and
+//! [`vnet_net::Fabric::delay_only`] (route latency only). Both are the one
+//! `vnet_net::Fabric` type; the slots are plain enums matched at each call,
+//! with no trait layer between the world and the models.
 //!
 //! Fidelity is chosen **per node** through [`FidelityMap`] (builder
 //! `fidelity(..)` > `VNET_FIDELITY` env > default Full — see
@@ -35,15 +34,15 @@
 //! Determinism is preserved across fidelity choices: abstract hosts draw
 //! from the same per-host derived RNG streams, inject through the same
 //! two-phase `(time, source, sequence)`-keyed ingress protocol, and the
-//! delay fabric keeps the full fabric's per-hop latencies, so the
+//! delay-only fabric keeps the full fabric's per-hop latencies, so the
 //! parallel executor's lookahead bound and epoch protocol apply
-//! unchanged. Full-fidelity-everywhere through these seams is pinned
-//! byte-identical to the pre-refactor oracle by `tests/parallel_differential.rs`.
+//! unchanged. `tests/parallel_differential.rs` pins every fidelity mix
+//! byte-identical between the sequential and sharded executors.
 
 use crate::world::{Event, HostEnv};
 use std::collections::BTreeMap;
-use vnet_net::{DelayFabric, Fabric, FaultPlan, HostId, NetConfig, Packet, Phase1, Topology};
-use vnet_nic::{EpId, Frame, FrameKind, FramePool, GlobalEp, Nic, NicOut, ProtectionKey, UserMsg};
+use vnet_net::{HostId, Packet};
+use vnet_nic::{EpId, Frame, FrameKind, FramePool, GlobalEp, ProtectionKey, UserMsg};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::telemetry::{MetricSet, MetricValue, MetricVisitor, MetricsSnapshot};
 use vnet_sim::{Ctx, SimDuration, SimRng, SimTime};
@@ -95,7 +94,7 @@ impl FidelityMap {
     }
 
     /// The fabric's fidelity ([`Fidelity::Abstract`] selects the
-    /// delay-only [`vnet_net::DelayFabric`]).
+    /// delay-only fabric, [`vnet_net::Fabric::delay_only`]).
     pub fn fabric(&self) -> Fidelity {
         self.fabric
     }
@@ -204,242 +203,6 @@ fn parse_ranges(s: &str) -> Result<Vec<u32>, String> {
         }
     }
     Ok(out)
-}
-
-// ===================================================================
-// FabricModel
-// ===================================================================
-
-/// The network between hosts, as the composed world sees it: deterministic
-/// source routing, the two-phase `(inject_src, complete_ingress)` timing
-/// protocol, and a fault plan judged on the sender's own stream. Both
-/// implementations keep per-source ingress sequences and identical per-hop
-/// latencies, so the parallel executor's lookahead bound holds for either.
-pub trait FabricModel {
-    /// The topology in use.
-    fn topology(&self) -> &Topology;
-    /// The physical parameters in use.
-    fn net_config(&self) -> &NetConfig;
-    /// The fault plan (read).
-    fn faults(&self) -> &FaultPlan;
-    /// The fault plan (campaign ops, hot-swap control).
-    fn faults_mut(&mut self) -> &mut FaultPlan;
-    /// Phase 1: judge faults and time the ascending hops.
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame>;
-    /// Phase 2: time the descending hops from the ingress instant.
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration;
-}
-
-impl FabricModel for Fabric {
-    fn topology(&self) -> &Topology {
-        Fabric::topology(self)
-    }
-    fn net_config(&self) -> &NetConfig {
-        Fabric::config(self)
-    }
-    fn faults(&self) -> &FaultPlan {
-        Fabric::faults(self)
-    }
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        Fabric::faults_mut(self)
-    }
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        Fabric::inject_src(self, now, pkt)
-    }
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        Fabric::complete_ingress(self, at, pkt)
-    }
-}
-
-impl FabricModel for DelayFabric {
-    fn topology(&self) -> &Topology {
-        DelayFabric::topology(self)
-    }
-    fn net_config(&self) -> &NetConfig {
-        DelayFabric::config(self)
-    }
-    fn faults(&self) -> &FaultPlan {
-        DelayFabric::faults(self)
-    }
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        DelayFabric::faults_mut(self)
-    }
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        DelayFabric::inject_src(self, now, pkt)
-    }
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        DelayFabric::complete_ingress(self, at, pkt)
-    }
-}
-
-/// The world's fabric: one registered [`FabricModel`], dispatched
-/// statically so the hot path stays branch-predictable and the shard
-/// split/absorb protocol stays concrete.
-pub enum FabricSlot {
-    /// Full bandwidth-arbitrating fabric.
-    Full(Fabric),
-    /// Delay-only fabric (no link reservation).
-    Delay(DelayFabric),
-}
-
-impl FabricSlot {
-    /// Build the fabric selected by `f`.
-    pub fn build(f: Fidelity, cfg: NetConfig, topo: Topology, faults: FaultPlan) -> Self {
-        match f {
-            Fidelity::Full => FabricSlot::Full(Fabric::new(cfg, topo, faults)),
-            Fidelity::Abstract => FabricSlot::Delay(DelayFabric::new(cfg, topo, faults)),
-        }
-    }
-
-    /// The full fabric, when that is what is registered (tests and
-    /// benchmarks that inspect link reservation state).
-    pub fn as_full(&self) -> Option<&Fabric> {
-        match self {
-            FabricSlot::Full(f) => Some(f),
-            FabricSlot::Delay(_) => None,
-        }
-    }
-
-    // Inherent mirrors of the [`FabricModel`] surface, so callers holding
-    // a `World` need no trait import for plain inspection and fault
-    // control (the trait impl below forwards here).
-
-    /// The topology in use.
-    pub fn topology(&self) -> &Topology {
-        match self {
-            FabricSlot::Full(f) => f.topology(),
-            FabricSlot::Delay(f) => f.topology(),
-        }
-    }
-
-    /// The physical parameters in use.
-    pub fn config(&self) -> &NetConfig {
-        match self {
-            FabricSlot::Full(f) => f.config(),
-            FabricSlot::Delay(f) => f.config(),
-        }
-    }
-
-    /// The fault plan (read).
-    pub fn faults(&self) -> &FaultPlan {
-        match self {
-            FabricSlot::Full(f) => f.faults(),
-            FabricSlot::Delay(f) => f.faults(),
-        }
-    }
-
-    /// The fault plan (campaign ops, administrative hot-swap control).
-    pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        match self {
-            FabricSlot::Full(f) => f.faults_mut(),
-            FabricSlot::Delay(f) => f.faults_mut(),
-        }
-    }
-
-    /// Phase 1 of injection: judge faults and time the ascending hops.
-    pub fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        match self {
-            FabricSlot::Full(f) => f.inject_src(now, pkt),
-            FabricSlot::Delay(f) => f.inject_src(now, pkt),
-        }
-    }
-
-    /// Phase 2 of injection: time the descending hops from the ingress
-    /// instant.
-    pub fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        match self {
-            FabricSlot::Full(f) => f.complete_ingress(at, pkt),
-            FabricSlot::Delay(f) => f.complete_ingress(at, pkt),
-        }
-    }
-
-    /// Shard copy (same discipline as the underlying model).
-    pub(crate) fn split_shard(&self) -> FabricSlot {
-        match self {
-            FabricSlot::Full(f) => FabricSlot::Full(f.split_shard()),
-            FabricSlot::Delay(f) => FabricSlot::Delay(f.split_shard()),
-        }
-    }
-
-    /// Copy back a shard's owned link/fault/sequence state.
-    pub(crate) fn absorb_shard(
-        &mut self,
-        sh: &FabricSlot,
-        lo: u32,
-        hi: u32,
-        owns_link: impl Fn(vnet_net::LinkId) -> bool,
-    ) {
-        match (self, sh) {
-            (FabricSlot::Full(a), FabricSlot::Full(b)) => a.absorb_shard(b, lo, hi, owns_link),
-            (FabricSlot::Delay(a), FabricSlot::Delay(b)) => a.absorb_shard(b, lo, hi, owns_link),
-            _ => panic!("fabric fidelity changed between split and absorb"),
-        }
-    }
-}
-
-impl FabricModel for FabricSlot {
-    fn topology(&self) -> &Topology {
-        FabricSlot::topology(self)
-    }
-    fn net_config(&self) -> &NetConfig {
-        FabricSlot::config(self)
-    }
-    fn faults(&self) -> &FaultPlan {
-        FabricSlot::faults(self)
-    }
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        FabricSlot::faults_mut(self)
-    }
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        FabricSlot::inject_src(self, now, pkt)
-    }
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        FabricSlot::complete_ingress(self, at, pkt)
-    }
-}
-
-/// Snapshot prefix `net.*`, whichever model is registered (the delay
-/// fabric reports the same counter names; `link_busy_ns` then counts
-/// serialization only, not queueing).
-impl MetricSet for FabricSlot {
-    fn visit_metrics(&self, v: &mut dyn MetricVisitor) {
-        match self {
-            FabricSlot::Full(f) => f.visit_metrics(v),
-            FabricSlot::Delay(f) => f.visit_metrics(v),
-        }
-    }
-}
-
-// ===================================================================
-// NicModel
-// ===================================================================
-
-/// The wire-facing seam of one host: what happens when a frame's tail
-/// arrives. The full NIC runs CRC/protection/NACK/retransmit and emits
-/// effects; the abstract NIC counts the frame and emits nothing.
-pub trait NicModel {
-    /// A frame's tail arrived from `src` (possibly corrupt in flight).
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        src: HostId,
-        frame: Frame,
-        corrupt: bool,
-        outs: &mut Vec<NicOut>,
-    );
-}
-
-impl NicModel for Nic {
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        src: HostId,
-        frame: Frame,
-        corrupt: bool,
-        outs: &mut Vec<NicOut>,
-    ) {
-        self.on_packet(now, src, frame, corrupt, outs);
-    }
 }
 
 /// Coarse counters an abstract node reports in place of the full
@@ -568,15 +331,10 @@ impl AbstractNic {
     }
 }
 
-impl NicModel for AbstractNic {
-    fn deliver(
-        &mut self,
-        _now: SimTime,
-        _src: HostId,
-        frame: Frame,
-        corrupt: bool,
-        _outs: &mut Vec<NicOut>,
-    ) {
+impl AbstractNic {
+    /// A frame's tail arrived (possibly corrupt in flight): count it and
+    /// recycle its message box. Nothing is acknowledged or retransmitted.
+    pub fn deliver(&mut self, frame: Frame, corrupt: bool) {
         if !corrupt {
             self.stats.recvd += 1;
             if let FrameKind::Data(m) = &frame.kind {
@@ -668,22 +426,8 @@ struct OpenLoop {
 }
 
 // ===================================================================
-// HostModel
+// AbstractHost
 // ===================================================================
-
-/// Everything above the wire on one host, as the composed world sees
-/// it: consume the events addressed to the host, produce injections and
-/// follow-up events through the shared [`HostEnv`], and report metrics.
-/// Implemented by `world::FullHost` (the complete §3–§6 machinery) and
-/// [`AbstractHost`].
-pub trait HostModel {
-    /// This host's fidelity class.
-    fn fidelity(&self) -> Fidelity;
-    /// Handle an event addressed to global host `gh`.
-    fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>);
-    /// Report this host's metrics into a snapshot (`host{h}.…` scope).
-    fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot);
-}
 
 /// Internal events of an abstract host (carried by `Event::Abs`).
 #[derive(Clone, Copy, Debug)]
@@ -812,14 +556,15 @@ impl AbstractHost {
     pub fn open_loop_remaining(&self) -> u64 {
         self.open_loop.as_ref().map_or(0, |ol| ol.remaining)
     }
-}
 
-impl HostModel for AbstractHost {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Abstract
-    }
-
-    fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>) {
+    /// Handle an event addressed to global host `gh`.
+    pub(crate) fn on_event(
+        &mut self,
+        gh: u32,
+        ev: Event,
+        env: &mut HostEnv<'_>,
+        ctx: &mut Ctx<'_, Event>,
+    ) {
         match ev {
             Event::Abs { ev: AbsEvent::Tick, .. } => {
                 let Some(t) = &mut self.traffic else { return };
@@ -898,7 +643,7 @@ impl HostModel for AbstractHost {
                 let pkt = self.nic.make_request(ctx.now(), dst, bytes, stamp.as_nanos());
                 env.inject(ctx.now(), pkt, ctx);
             }
-            Event::Deliver { src, frame, corrupt, .. } => {
+            Event::Deliver { frame, corrupt, .. } => {
                 let now = ctx.now();
                 // Pull the latency stamp before the frame is consumed.
                 let stamp = match &frame.kind {
@@ -909,9 +654,7 @@ impl HostModel for AbstractHost {
                     }
                     _ => None,
                 };
-                let mut outs = Vec::new();
-                NicModel::deliver(&mut self.nic, now, src, frame, corrupt, &mut outs);
-                debug_assert!(outs.is_empty(), "abstract NIC emitted effects");
+                self.nic.deliver(frame, corrupt);
                 // Receive overhead o_r occupies the serial CPU, delaying
                 // subsequent sends.
                 self.cpu_free_at = now.max(self.cpu_free_at) + env.cfg.cost.host_recv;
@@ -928,7 +671,8 @@ impl HostModel for AbstractHost {
         }
     }
 
-    fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
+    /// Report this host's counters into a snapshot (`host{h}.abs.*`).
+    pub(crate) fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
         out.record_set(&format!("host{h}.abs"), &self.nic.stats);
     }
 }
@@ -992,12 +736,10 @@ mod tests {
         assert_eq!(nic.stats.sent_bytes, 256);
 
         let mut rx = AbstractNic::new(HostId(1));
-        let mut outs = Vec::new();
-        rx.deliver(SimTime::ZERO, pkt.src, pkt.payload.clone(), false, &mut outs);
-        assert!(outs.is_empty());
+        rx.deliver(pkt.payload.clone(), false);
         assert_eq!(rx.stats.recvd, 1);
         assert_eq!(rx.stats.recv_bytes, 256);
-        rx.deliver(SimTime::ZERO, pkt.src, pkt.payload, true, &mut outs);
+        rx.deliver(pkt.payload, true);
         assert_eq!(rx.stats.corrupt_drops, 1);
         assert_eq!(rx.stats.recvd, 1, "corrupt frames are not received");
     }
@@ -1078,10 +820,9 @@ mod tests {
     fn frame_pool_recycles_on_abstract_path() {
         let mut tx = AbstractNic::new(HostId(0));
         let mut rx = AbstractNic::new(HostId(1));
-        let mut outs = Vec::new();
         for i in 0..100 {
             let pkt = tx.make_packet(SimTime::ZERO, HostId(1), 64 + i);
-            rx.deliver(SimTime::ZERO, pkt.src, pkt.payload, false, &mut outs);
+            rx.deliver(pkt.payload, false);
         }
         assert_eq!(rx.stats.recvd, 100);
         assert!(rx.pool.held() >= 1, "delivered boxes return to the receiver pool");

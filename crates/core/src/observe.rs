@@ -16,8 +16,9 @@
 //!
 //! Metric names are `host3.nic.retransmits`-style dotted paths: a host
 //! scope (`host{N}`), a layer (`nic`, `os`), and the metric's short name
-//! as enumerated by its [`MetricSet`]. Cluster-wide sets use a bare layer
-//! prefix (`net.packets`, `telemetry.dropped_spans`, `engine.*`).
+//! as enumerated by its [`MetricSet`](vnet_sim::telemetry::MetricSet).
+//! Cluster-wide sets use a bare layer prefix (`net.packets`,
+//! `telemetry.dropped_spans`, `engine.*`).
 
 use crate::cluster::Cluster;
 use vnet_sim::telemetry::{MetricValue, MetricsSnapshot, TelemetryHandle};

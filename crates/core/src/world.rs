@@ -2,17 +2,15 @@
 //! driver, thread scheduler, application threads — or an abstract LogP
 //! source/sink), wired into one deterministic event graph.
 //!
-//! Since PR 7 the world is fidelity-pluggable: each host slot holds one
-//! [`HostModel`] implementation ([`FullHost`] or
-//! [`crate::model::AbstractHost`]) and the fabric slot one
-//! [`crate::model::FabricModel`] implementation, selected per node by
-//! [`crate::config::ClusterConfig::fidelity`]. See [`crate::model`].
+//! Each host slot is a [`HostSlot`]: a [`FullHost`] or a
+//! [`crate::model::AbstractHost`], selected per node by
+//! [`crate::config::ClusterConfig::fidelity`]. The fabric is one
+//! [`Fabric`], link-reserving or delay-only by the same map. See
+//! [`crate::model`].
 
 use crate::config::{ClusterConfig, Mode};
 use crate::control::{ControlPlane, CtlOp, MigPhase, MigState};
-use crate::model::{
-    AbsEvent, AbsStats, AbstractHost, FabricSlot, Fidelity, HostModel, NicModel,
-};
+use crate::model::{AbsEvent, AbsStats, AbstractHost, Fidelity};
 use crate::sys::{Step, Sys, ThreadBody};
 use crate::user::UserEpState;
 use std::cell::RefCell;
@@ -20,15 +18,17 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::sync::Arc;
-use vnet_net::{FaultOp, FaultPlan, HostId, Packet, Partition, Phase1, RouteOracle, Topology};
+use vnet_net::{
+    Fabric, FaultOp, FaultPlan, HostId, Packet, Partition, Phase1, RouteOracle, Topology,
+};
 use vnet_nic::{
     DriverMsg, EpId, Frame, GlobalEp, Nic, NicConfig, NicEvent, NicMode, NicOut, ProtectionKey,
 };
 use vnet_os::{BlockReason, OsEvent, OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::telemetry::MetricsSnapshot;
 use vnet_sim::{
-    AuditHandle, Auditor, Ctx, FxHashMap, SimDuration, SimRng, SimTime, SimWorld, Telemetry,
-    TelemetryHandle, INGRESS_KEY_BIT,
+    ingress_key, AuditHandle, Auditor, Ctx, FxHashMap, SimDuration, SimRng, SimTime, SimWorld,
+    Telemetry, TelemetryHandle,
 };
 
 /// Minimum CPU time charged per thread burst: no user-level loop runs in
@@ -259,13 +259,13 @@ impl EmitTimes {
     }
 }
 
-/// The world-owned context a [`HostModel`] works against while handling
+/// The world-owned context a host model works against while handling
 /// one event: the shared fabric, the rendezvous key table, observability
 /// sinks, and this world's host-ownership window (for routing injected
 /// packets either into the local engine or into the cross-shard outbox).
-pub struct HostEnv<'a> {
+pub(crate) struct HostEnv<'a> {
     pub(crate) cfg: &'a ClusterConfig,
-    pub(crate) fabric: &'a mut FabricSlot,
+    pub(crate) fabric: &'a mut Fabric,
     pub(crate) keys: &'a FxHashMap<GlobalEp, ProtectionKey>,
     pub(crate) auditor: &'a AuditHandle,
     pub(crate) outbox: &'a mut Vec<(SimTime, u64, bool, Packet<Frame>)>,
@@ -289,7 +289,7 @@ impl HostEnv<'_> {
     pub(crate) fn inject(&mut self, now: SimTime, pkt: Packet<Frame>, ctx: &mut Ctx<'_, Event>) {
         match self.fabric.inject_src(now, pkt) {
             Phase1::Ingress { at, seq, corrupt, pkt } => {
-                let key = INGRESS_KEY_BIT | ((pkt.src.0 as u64) << 40) | seq;
+                let key = ingress_key(pkt.src.0, seq);
                 if self.owns(pkt.dst.0) {
                     ctx.schedule_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
                 } else {
@@ -562,13 +562,8 @@ impl FullHost {
         self.cpu.busy_until = now + elapsed;
         self.kick_cpu(gh, ctx);
     }
-}
 
-impl HostModel for FullHost {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Full
-    }
-
+    /// Handle an event addressed to global host `gh`.
     fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>) {
         match ev {
             Event::Nic { ev, .. } => {
@@ -589,7 +584,7 @@ impl HostModel for FullHost {
             }
             Event::Deliver { src, frame, corrupt, .. } => {
                 let mut outs = Vec::new();
-                NicModel::deliver(&mut self.nic, ctx.now(), src, frame, corrupt, &mut outs);
+                self.nic.on_packet(ctx.now(), src, frame, corrupt, &mut outs);
                 self.apply_nic(gh, outs, env, ctx);
             }
             Event::DriverMsg { msg, .. } => {
@@ -607,6 +602,8 @@ impl HostModel for FullHost {
         }
     }
 
+    /// Report this host's NIC and OS counters into a snapshot
+    /// (`host{h}.nic.*`, `host{h}.os.*`).
     fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
         out.record_set(&format!("host{h}.nic"), self.nic.stats());
         if let Some(t) = self.nic.telemetry() {
@@ -616,8 +613,8 @@ impl HostModel for FullHost {
     }
 }
 
-/// One host slot of the composed world: a registered [`HostModel`],
-/// dispatched statically (the same pattern as [`FabricSlot`]).
+/// One host slot of the composed world: the full or the abstract model,
+/// matched at each call.
 // `FullHost` is boxed because the enum's size is its largest variant:
 // inline it is ~2.5 KB, and a fleet-scale world is almost all
 // `AbstractHost` (~200 B) — 16k abstract slots would carry ~38 MB of
@@ -678,8 +675,9 @@ impl HostSlot {
 pub struct World {
     /// Build configuration.
     pub cfg: ClusterConfig,
-    /// The network model (full or delay-only; see [`FabricSlot`]).
-    pub fabric: FabricSlot,
+    /// The network (link-reserving, or delay-only when the fidelity map
+    /// selects an abstract fabric; see [`Fabric::delay_only`]).
+    pub fabric: Fabric,
     /// Protection keys of every endpoint (the rendezvous snapshot).
     pub keys: FxHashMap<GlobalEp, ProtectionKey>,
     /// Cross-layer invariant auditor; every full-fidelity NIC and segment
@@ -738,7 +736,10 @@ impl World {
         } else {
             Some(Arc::new(RouteOracle::new(topo.clone(), &cfg.faults)))
         };
-        let fabric = FabricSlot::build(cfg.fidelity.fabric(), cfg.net.clone(), topo, faults);
+        let fabric = match cfg.fidelity.fabric() {
+            Fidelity::Full => Fabric::new(cfg.net.clone(), topo, faults),
+            Fidelity::Abstract => Fabric::delay_only(cfg.net.clone(), topo, faults),
+        };
         let mut nic_cfg: NicConfig = cfg.nic.clone();
         nic_cfg.mode = match cfg.mode {
             Mode::VirtualNetwork => NicMode::VirtualNetwork,
@@ -1104,8 +1105,7 @@ impl World {
     }
 
     /// Split-borrow helper: the slot at local index `h` plus the
-    /// [`HostEnv`] over every other field, ready for [`HostModel`]
-    /// dispatch.
+    /// [`HostEnv`] over every other field, ready for dispatch.
     fn dispatch(&mut self, h: usize, ev: Event, ctx: &mut Ctx<'_, Event>) {
         let gh = self.gh(h);
         let World { cfg, fabric, hosts, keys, auditor, outbox, emits, base, .. } = self;

@@ -110,12 +110,21 @@ pub enum Phase1<P> {
 }
 
 /// The network: topology + per-link reservation state + fault model.
+///
+/// Built by [`Fabric::new`] it reserves every link a packet crosses, so
+/// contended links delay packets (the paper's link-level back-pressure).
+/// Built by [`Fabric::delay_only`] it reserves nothing: each packet sees
+/// the uncontended timing, whatever else is in flight. Routes, hop
+/// latencies, fault judgment, ingress sequences and link counters are
+/// the same in both modes.
+#[derive(Clone)]
 pub struct Fabric {
     cfg: NetConfig,
     topo: Topology,
     faults: FaultPlan,
-    /// Time until which each link is already reserved.
-    busy_until: Vec<SimTime>,
+    /// Time until which each link is already reserved; `None` in
+    /// delay-only mode, where links are never reserved.
+    busy_until: Option<Vec<SimTime>>,
     /// Cut-through latency per link (precomputed from the config so the
     /// walk stays one indexed load even with heterogeneous trunks).
     latency: Vec<SimDuration>,
@@ -135,12 +144,21 @@ impl Fabric {
             cfg,
             topo,
             faults,
-            busy_until: vec![SimTime::ZERO; n],
+            busy_until: Some(vec![SimTime::ZERO; n]),
             latency,
             stats: vec![LinkStats::default(); n],
             ingress_seq: vec![0; hosts],
             route_buf: Vec::new(),
         }
+    }
+
+    /// Build a delay-only fabric: like [`Fabric::new`], but links are
+    /// never reserved, so concurrent packets do not delay one another.
+    /// Contention effects (incast collapse, trunk queueing, the Figure 8
+    /// saturation knee) vanish; everything else is kept. `busy_ns` then
+    /// counts serialization time, not queueing.
+    pub fn delay_only(cfg: NetConfig, topo: Topology, faults: FaultPlan) -> Self {
+        Fabric { busy_until: None, ..Fabric::new(cfg, topo, faults) }
     }
 
     /// The topology in use.
@@ -243,8 +261,14 @@ impl Fabric {
         let len = self.route_buf.len();
         for i in from..to {
             let l = self.route_buf[i].idx();
-            let enter = head.max(self.busy_until[l]);
-            self.busy_until[l] = enter + ser;
+            let enter = match &mut self.busy_until {
+                Some(busy) => {
+                    let enter = head.max(busy[l]);
+                    busy[l] = enter + ser;
+                    enter
+                }
+                None => head,
+            };
             let st = &mut self.stats[l];
             st.packets += 1;
             st.bytes += wire_bytes as u64;
@@ -262,25 +286,18 @@ impl Fabric {
     /// only ever *exercises* the links and sources it owns; the owned
     /// slices are copied back by [`Fabric::absorb_shard`].
     pub fn split_shard(&self) -> Fabric {
-        Fabric {
-            cfg: self.cfg.clone(),
-            topo: self.topo.clone(),
-            faults: self.faults.clone(),
-            busy_until: self.busy_until.clone(),
-            latency: self.latency.clone(),
-            stats: self.stats.clone(),
-            ingress_seq: self.ingress_seq.clone(),
-            route_buf: Vec::new(),
-        }
+        self.clone()
     }
 
     /// Copy back the state a shard owns: reservation times and counters
     /// for links where `owns_link` holds, plus fault streams and ingress
     /// sequences for source hosts `lo..hi`.
     pub fn absorb_shard(&mut self, sh: &Fabric, lo: u32, hi: u32, owns_link: impl Fn(LinkId) -> bool) {
-        for l in 0..self.busy_until.len() {
+        for l in 0..self.stats.len() {
             if owns_link(LinkId(l as u32)) {
-                self.busy_until[l] = sh.busy_until[l];
+                if let (Some(busy), Some(sh_busy)) = (&mut self.busy_until, &sh.busy_until) {
+                    busy[l] = sh_busy[l];
+                }
                 self.stats[l] = sh.stats[l].clone();
             }
         }
@@ -293,7 +310,8 @@ impl Fabric {
 
 /// Fabric-wide aggregates over every link, enumerated generically
 /// alongside `NicStats`/`OsStats` (snapshot prefix `net`). Per-link
-/// depth stays available through [`Fabric::link_stats`].
+/// depth stays available through [`Fabric::link_stats`]. Both modes
+/// report the same names.
 impl MetricSet for Fabric {
     fn visit_metrics(&self, v: &mut dyn MetricVisitor) {
         let (mut packets, mut bytes, mut busy) = (0u64, 0u64, 0u64);
@@ -439,5 +457,67 @@ mod tests {
         let mbps = wire as f64 / 1e6 / last.as_secs_f64();
         assert!(mbps <= 160.0 + 0.1, "aggregate {mbps} exceeds link rate");
         assert!(mbps > 150.0, "aggregate {mbps} should saturate the link");
+    }
+
+    fn delay_only(spec: TopologySpec) -> Fabric {
+        Fabric::delay_only(NetConfig::default(), Topology::build(spec), FaultPlan::none(0))
+    }
+
+    #[test]
+    fn delay_only_uncontended_timing_matches_full() {
+        for spec in [
+            TopologySpec::now_cluster(),
+            TopologySpec::Crossbar { hosts: 4 },
+            TopologySpec::FatTree { leaves: 4, hosts_per_leaf: 2, spines: 2 },
+        ] {
+            let mut full = fabric(spec.clone());
+            let mut abs = delay_only(spec);
+            let n = full.topology().host_count();
+            for (s, d, b) in [(0, n - 1, 16u32), (1, 0, 8192)] {
+                let fd = delay_of(full.inject(SimTime::ZERO, pkt(s, d, b)));
+                let ad = delay_of(abs.inject(SimTime::ZERO, pkt(s, d, b)));
+                assert_eq!(fd, ad, "uncontended {s}->{d} ({b} B) must agree");
+            }
+        }
+    }
+
+    #[test]
+    fn delay_only_drops_contention() {
+        // Ten-way incast: the full fabric queues on the shared down link,
+        // the delay-only fabric does not.
+        let mut full = fabric(TopologySpec::Crossbar { hosts: 11 });
+        let mut abs = delay_only(TopologySpec::Crossbar { hosts: 11 });
+        let mut worst_full = SimDuration::ZERO;
+        let mut worst_abs = SimDuration::ZERO;
+        for i in 0..10 {
+            worst_full = worst_full.max(delay_of(full.inject(SimTime::ZERO, pkt(i, 10, 8192))));
+            worst_abs = worst_abs.max(delay_of(abs.inject(SimTime::ZERO, pkt(i, 10, 8192))));
+        }
+        assert!(worst_full > worst_abs * 5, "full {worst_full} vs delay-only {worst_abs}");
+    }
+
+    #[test]
+    fn delay_only_faults_still_judge() {
+        let mut f = delay_only(TopologySpec::Crossbar { hosts: 2 });
+        f.faults_mut().link_down(LinkId(0));
+        match f.inject_src(SimTime::ZERO, pkt(0, 1, 16)) {
+            Phase1::Dropped { reason: DropReason::LinkDown, .. } => {}
+            other => panic!("expected LinkDown, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn delay_only_ingress_sequences_are_per_source() {
+        let mut f = delay_only(TopologySpec::Crossbar { hosts: 3 });
+        for expect in 1..=3u64 {
+            match f.inject_src(SimTime::ZERO, pkt(0, 1, 16)) {
+                Phase1::Ingress { seq, .. } => assert_eq!(seq, expect),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        match f.inject_src(SimTime::ZERO, pkt(2, 1, 16)) {
+            Phase1::Ingress { seq, .. } => assert_eq!(seq, 1, "fresh source, fresh stream"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 }

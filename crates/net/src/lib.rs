@@ -23,10 +23,15 @@
 //! captures both pipelining (multi-hop latency grows by latency, not
 //! serialization, per hop) and contention (busy links stretch delivery),
 //! which are the only network properties the NIC protocols observe.
+//!
+//! [`Fabric::delay_only`] builds the same fabric without link reservation:
+//! every packet sees the uncontended walk above, so fleet-scale runs can
+//! skip contention while keeping routes, hop latencies, faults, ingress
+//! sequences and link counters. It is one mode of the one [`Fabric`]; the
+//! walk differs only in whether a link's reservation can delay the head.
 
 #![warn(missing_docs)]
 
-pub mod delay;
 pub mod fabric;
 pub mod fault;
 pub mod packet;
@@ -35,7 +40,6 @@ pub mod routing;
 pub mod schedule;
 pub mod topology;
 
-pub use delay::DelayFabric;
 pub use fabric::{Fabric, InjectOutcome, LinkStats, NetConfig, Phase1};
 pub use fault::{DropCounts, DropReason, FaultOp, FaultPlan, GilbertElliott};
 pub use partition::Partition;

@@ -847,8 +847,8 @@ impl Auditor {
         self.total_violations > 0
     }
 
-    /// Violations recorded so far (first [`MAX_KEPT_VIOLATIONS`] kept
-    /// verbatim; see [`Auditor::total_violations`] for the full count).
+    /// Violations recorded so far (the first 64 kept verbatim; see
+    /// [`Auditor::total_violations`] for the full count).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }

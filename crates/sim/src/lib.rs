@@ -40,7 +40,8 @@ pub use audit::{AuditCounters, AuditHandle, Auditor, EpPhase, MsgFate, Violation
 pub use engine::{Ctx, Engine, EventId, SimWorld};
 pub use fxhash::{fx_map_with_capacity, FxHashMap, FxHashSet, FxHasher};
 pub use parallel::{
-    run_conservative, PairLookahead, ParRun, ParShard, SendCell, ShardEpochs, INGRESS_KEY_BIT,
+    ingress_key, run_conservative, PairLookahead, ParRun, ParShard, SendCell, ShardEpochs,
+    INGRESS_KEY_BIT,
 };
 pub use telemetry::{
     MetricSet, MetricValue, MetricVisitor, MetricsSnapshot, SpanId, Summary, Telemetry,

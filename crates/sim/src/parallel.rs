@@ -84,8 +84,8 @@
 //! Results are byte-identical to a sequential run for any shard count
 //! because *order never depends on arrival*: cross-shard mail is
 //! scheduled with [`schedule_keyed`](crate::wheel::TimingWheel::schedule_keyed)
-//! under a key that is a pure function of the traffic
-//! (`INGRESS_KEY_BIT | source << 40 | per-source sequence`), and wheels
+//! under a key that is a pure function of the traffic ([`ingress_key`]:
+//! `INGRESS_KEY_BIT | source << 40 | per-source sequence`), and wheels
 //! break same-time ties by key. The sequential engine routes the same
 //! messages through the same keyed path, so both executors process the
 //! same events at the same timestamps in the same order. The epoch
@@ -110,6 +110,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// sort after counter-scheduled events at the same nanosecond (the wheel
 /// counter can never reach bit 63).
 pub const INGRESS_KEY_BIT: u64 = 1 << 63;
+
+/// The canonical tie-break key of an ingress from host `src` with
+/// per-source sequence number `seq`: [`INGRESS_KEY_BIT`] set, then
+/// `(src, seq)` in lexicographic order. Exact for `seq < 2^40` and
+/// `src < 2^23`.
+#[inline]
+pub const fn ingress_key(src: u32, seq: u64) -> u64 {
+    INGRESS_KEY_BIT | ((src as u64) << 40) | seq
+}
 
 /// Fallback epoch width when a shard digraph has no cycle information at
 /// all (a single shard, or a campaign interval with every cross link
@@ -788,7 +797,7 @@ mod tests {
             let nxt = (pass.host + 1) % self.total;
             let at = ctx.now() + SimDuration::from_nanos(LAT);
             let seq = &mut self.seqs[pass.host as usize];
-            let key = INGRESS_KEY_BIT | ((pass.host as u64) << 40) | *seq;
+            let key = ingress_key(pass.host, *seq);
             *seq += 1;
             let pass = Pass { host: nxt, hops_left: pass.hops_left - 1 };
             if nxt >= self.lo && nxt < self.hi {
@@ -929,6 +938,21 @@ mod tests {
 
     fn log_of(n: u32, total: u32, hops: u64, deadline: SimTime, fw: u64) -> Log {
         run_sharded(n, total, hops, deadline, fw, fw).0
+    }
+
+    #[test]
+    fn ingress_key_sets_bit_63_and_orders_by_source_then_sequence() {
+        assert_eq!(ingress_key(0, 0), INGRESS_KEY_BIT);
+        assert_ne!(ingress_key(7, 3) & INGRESS_KEY_BIT, 0);
+        let pairs =
+            [(0, 1), (0, 2), (0, (1 << 40) - 1), (1, 0), (1, 5), (2, 0), ((1 << 23) - 1, 9)];
+        for w in pairs.windows(2) {
+            let ((sa, qa), (sb, qb)) = (w[0], w[1]);
+            assert!(
+                ingress_key(sa, qa) < ingress_key(sb, qb),
+                "({sa}, {qa}) must sort before ({sb}, {qb})"
+            );
+        }
     }
 
     #[test]

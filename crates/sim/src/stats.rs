@@ -1,10 +1,7 @@
 //! Measurement utilities shared by the instrumentation and the benchmark
-//! harness: counters, streaming moments, samplers with exact quantiles,
-//! log-bucketed histograms, interval rate meters, time-weighted gauges, and
-//! an ordinary-least-squares line fit (used for the paper's
-//! `RTT(n) = 0.1112·n + 61.02 µs` regression).
-
-use crate::time::{SimDuration, SimTime};
+//! harness: counters, samplers with exact quantiles, log-bucketed
+//! histograms, and an ordinary-least-squares line fit (used for the
+//! paper's `RTT(n) = 0.1112·n + 61.02 µs` regression).
 
 /// Monotone event counter.
 #[derive(Clone, Debug, Default)]
@@ -26,79 +23,6 @@ impl Counter {
     /// Current count.
     pub fn get(&self) -> u64 {
         self.n
-    }
-}
-
-/// Streaming mean/variance via Welford's algorithm.
-#[derive(Clone, Debug, Default)]
-pub struct Moments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Moments {
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        if self.n == 1 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 when fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
     }
 }
 
@@ -277,98 +201,6 @@ impl LogHistogram {
     }
 }
 
-/// Measures a rate (events per second of *simulated* time) over an interval.
-#[derive(Clone, Debug)]
-pub struct RateMeter {
-    started: SimTime,
-    count: u64,
-    bytes: u64,
-}
-
-impl RateMeter {
-    /// Begin metering at `now`.
-    pub fn start(now: SimTime) -> Self {
-        RateMeter { started: now, count: 0, bytes: 0 }
-    }
-
-    /// Record one event carrying `bytes` payload.
-    pub fn record(&mut self, bytes: u64) {
-        self.count += 1;
-        self.bytes += bytes;
-    }
-
-    /// Events recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Payload bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Events per second of simulated time elapsed by `now`.
-    pub fn rate_per_sec(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.started).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.count as f64 / dt
-        }
-    }
-
-    /// Megabytes per second (decimal) of simulated time elapsed by `now`.
-    pub fn mb_per_sec(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.started).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / 1e6 / dt
-        }
-    }
-
-    /// Reset the window to begin at `now`.
-    pub fn reset(&mut self, now: SimTime) {
-        self.started = now;
-        self.count = 0;
-        self.bytes = 0;
-    }
-}
-
-/// Time-weighted average of a piecewise-constant quantity (queue depth,
-/// number of resident endpoints).
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    weighted_sum: f64,
-    started: SimTime,
-}
-
-impl TimeWeighted {
-    /// Begin tracking with initial value `v` at `now`.
-    pub fn start(now: SimTime, v: f64) -> Self {
-        TimeWeighted { last_t: now, last_v: v, weighted_sum: 0.0, started: now }
-    }
-
-    /// Record that the quantity changed to `v` at `now`.
-    pub fn set(&mut self, now: SimTime, v: f64) {
-        self.weighted_sum += self.last_v * now.since(self.last_t).as_secs_f64();
-        self.last_t = now;
-        self.last_v = v;
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        let total = now.since(self.started).as_secs_f64();
-        if total <= 0.0 {
-            return self.last_v;
-        }
-        let acc = self.weighted_sum + self.last_v * now.since(self.last_t).as_secs_f64();
-        acc / total
-    }
-}
-
 /// Ordinary least-squares fit `y = slope·x + intercept`.
 ///
 /// Returns `(slope, intercept, r_squared)`. Panics if fewer than two points
@@ -397,15 +229,9 @@ pub fn linear_fit(points: &[(f64, f64)]) -> (f64, f64, f64) {
     (slope, intercept, r2)
 }
 
-/// Convenience: duration observation in microseconds into a [`Sampler`].
-pub fn record_us(s: &mut Sampler, d: SimDuration) {
-    s.record(d.as_micros_f64());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn counter_counts() {
@@ -416,23 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn moments_match_closed_form() {
-        let mut m = Moments::default();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.record(x);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(m.min(), 2.0);
-        assert_eq!(m.max(), 9.0);
-    }
-
-    #[test]
     fn empty_stats_are_zero() {
-        let m = Moments::default();
-        assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.variance(), 0.0);
         let mut s = Sampler::default();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
@@ -509,29 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_meter_rates() {
-        let t0 = SimTime::ZERO;
-        let mut r = RateMeter::start(t0);
-        for _ in 0..78_000 {
-            r.record(16);
-        }
-        let t1 = t0 + SimDuration::from_secs(1);
-        assert!((r.rate_per_sec(t1) - 78_000.0).abs() < 1e-6);
-        assert!((r.mb_per_sec(t1) - 78_000.0 * 16.0 / 1e6).abs() < 1e-9);
-        r.reset(t1);
-        assert_eq!(r.count(), 0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let t0 = SimTime::ZERO;
-        let mut g = TimeWeighted::start(t0, 0.0);
-        g.set(t0 + SimDuration::from_secs(1), 10.0); // 0 for 1s
-        let t2 = t0 + SimDuration::from_secs(2); // 10 for 1s
-        assert!((g.mean(t2) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn linear_fit_recovers_line() {
         // y = 0.1112 x + 61.02 with no noise, like the paper's RTT fit.
         let pts: Vec<(f64, f64)> =
@@ -540,12 +327,5 @@ mod tests {
         assert!((m - 0.1112).abs() < 1e-9);
         assert!((b - 61.02).abs() < 1e-6);
         assert!(r2 > 0.999999);
-    }
-
-    #[test]
-    fn record_us_converts() {
-        let mut s = Sampler::default();
-        record_us(&mut s, SimDuration::from_micros(21));
-        assert_eq!(s.mean(), 21.0);
     }
 }

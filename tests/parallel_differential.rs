@@ -591,11 +591,12 @@ struct OpenLoopOutcome {
 
 /// A 32-host all-abstract fat tree driven by the open-loop client
 /// population of `OpenLoopSpec`: Poisson arrivals, rotated-Zipf targets,
-/// bounded-Pareto sizes. The run loop advances in fixed 1 ms slices and
-/// checks the drain condition only at slice boundaries, mirroring how
-/// `fleet_bench` decides when to stop — the walk itself must be
-/// shard-count invariant.
-fn run_open_loop(seed: u64, shards: u32) -> OpenLoopOutcome {
+/// bounded-Pareto sizes, over the link-reserving (`fabric` Full) or the
+/// delay-only (`fabric` Abstract) fabric. The run loop advances in fixed
+/// 1 ms slices and checks the drain condition only at slice boundaries,
+/// mirroring how `fleet_bench` decides when to stop — the walk itself
+/// must be shard-count invariant.
+fn run_open_loop(seed: u64, shards: u32, fabric: Fidelity) -> OpenLoopOutcome {
     const HOSTS: u32 = 32;
     let mut c = Cluster::builder()
         .topology(TopologySpec::FatTree { leaves: 8, hosts_per_leaf: 4, spines: 2 })
@@ -604,6 +605,7 @@ fn run_open_loop(seed: u64, shards: u32) -> OpenLoopOutcome {
         .telemetry(false)
         .shards(shards)
         .default_fidelity(Fidelity::Abstract)
+        .fabric_fidelity(fabric)
         .build();
     let spec = OpenLoopSpec {
         streams: 2,
@@ -645,31 +647,45 @@ fn run_open_loop(seed: u64, shards: u32) -> OpenLoopOutcome {
 
 /// Satellite: open-loop workload determinism. A fixed-seed 32-host
 /// open-loop fleet must produce byte-identical metrics — every abstract
-/// counter and every latency-histogram bucket — at 1, 2, and 4 shards.
+/// counter and every latency-histogram bucket — at 1, 2, and 4 shards,
+/// over both the link-reserving and the delay-only fabric.
 #[test]
 fn open_loop_matches_sequential() {
     for &seed in &[7u64, 0xF1EE7] {
-        let seq = run_open_loop(seed, 1);
-        assert_eq!(seq.shards_used, 1);
-        let total_sent: u64 = seq.abs.iter().map(|&(sent, ..)| sent).sum();
-        assert_eq!(total_sent, 32 * 50, "every request must be emitted (seed {seed:#x})");
-        assert_eq!(
-            seq.lat_count, total_sent,
-            "every request must be served within the drain window (seed {seed:#x})"
-        );
-        assert!(seq.lat_sum > 0, "latencies must be recorded (seed {seed:#x})");
-        for shards in [2u32, 4] {
-            let par = run_open_loop(seed, shards);
-            assert!(par.shards_used > 1, "expected a parallel run for {shards} shards");
-            assert_eq!(seq.abs, par.abs, "abstract counters, {shards} shards, seed {seed:#x}");
+        let mut lat_sums = Vec::new();
+        for fabric in [Fidelity::Full, Fidelity::Abstract] {
+            let run = format!("{fabric:?} fabric, seed {seed:#x}");
+            let seq = run_open_loop(seed, 1, fabric);
+            assert_eq!(seq.shards_used, 1);
+            let total_sent: u64 = seq.abs.iter().map(|&(sent, ..)| sent).sum();
+            assert_eq!(total_sent, 32 * 50, "every request must be emitted ({run})");
             assert_eq!(
-                seq.lat_buckets, par.lat_buckets,
-                "latency histogram, {shards} shards, seed {seed:#x}"
+                seq.lat_count, total_sent,
+                "every request must be served within the drain window ({run})"
             );
-            assert_eq!(seq.lat_sum, par.lat_sum, "latency sum, {shards} shards, seed {seed:#x}");
-            assert_eq!(seq.events, par.events, "event count, {shards} shards, seed {seed:#x}");
-            assert_eq!(seq.now_ns, par.now_ns, "final clock, {shards} shards, seed {seed:#x}");
+            assert!(seq.lat_sum > 0, "latencies must be recorded ({run})");
+            for shards in [2u32, 4] {
+                let par = run_open_loop(seed, shards, fabric);
+                assert!(par.shards_used > 1, "expected a parallel run for {shards} shards");
+                assert_eq!(seq.abs, par.abs, "abstract counters, {shards} shards, {run}");
+                assert_eq!(
+                    seq.lat_buckets, par.lat_buckets,
+                    "latency histogram, {shards} shards, {run}"
+                );
+                assert_eq!(seq.lat_sum, par.lat_sum, "latency sum, {shards} shards, {run}");
+                assert_eq!(seq.events, par.events, "event count, {shards} shards, {run}");
+                assert_eq!(seq.now_ns, par.now_ns, "final clock, {shards} shards, {run}");
+            }
+            lat_sums.push(seq.lat_sum);
         }
+        // The delay-only fabric drops link queueing, so the same offered
+        // load must see strictly less total latency.
+        assert!(
+            lat_sums[1] < lat_sums[0],
+            "delay-only latency {} not below full {} (seed {seed:#x})",
+            lat_sums[1],
+            lat_sums[0]
+        );
     }
 }
 
