@@ -63,6 +63,11 @@ impl BspStats {
     }
 }
 
+/// Consecutive empty polls before a rank blocks on the event mask
+/// (spin-block; ~2 RTTs of spinning is the implicit co-scheduling sweet
+/// spot).
+const SPIN_POLLS: u32 = 12;
+
 enum Phase {
     /// Need the next superstep from the app.
     Fetch,
@@ -90,10 +95,6 @@ pub struct BspRunner<A: BspApp> {
     recv_counts: FxHashMap<u64, u32>,
     pending_replies: Vec<DeliveredMsg>,
     idle_polls: u32,
-    /// Consecutive empty polls before blocking on the event mask
-    /// (spin-block; ~2 RTTs of spinning is the implicit co-scheduling
-    /// sweet spot).
-    spin_polls: u32,
     /// The last send attempt failed for NI queue space (not credits):
     /// no arrival will signal the drain, so the rank must spin, not sleep.
     queue_blocked: bool,
@@ -115,15 +116,8 @@ impl<A: BspApp> BspRunner<A> {
             recv_counts: FxHashMap::default(),
             pending_replies: Vec::new(),
             idle_polls: 0,
-            spin_polls: 12,
             queue_blocked: false,
         }
-    }
-
-    /// Override the spin-block threshold (0 = block immediately).
-    pub fn with_spin_polls(mut self, n: u32) -> Self {
-        self.spin_polls = n;
-        self
     }
 
     /// Whether the rank has completed all supersteps.
@@ -247,7 +241,7 @@ impl<A: BspApp> BspRunner<A> {
                     // signalled by an arrival, so sleeping would deadlock
                     // (a credit stall, by contrast, ends with a reply).
                     self.idle_polls += 1;
-                    if self.idle_polls <= self.spin_polls
+                    if self.idle_polls <= SPIN_POLLS
                         || !self.pending_replies.is_empty()
                         || self.queue_blocked
                     {

@@ -30,13 +30,6 @@ pub struct LogPResult {
     pub rtt_us: f64,
 }
 
-impl LogPResult {
-    /// One-way time o_s + L + o_r.
-    pub fn one_way_us(&self) -> f64 {
-        self.os_us + self.l_us + self.or_us
-    }
-}
-
 /// Echo server: replies to every request, forever. Polls continuously —
 /// microbenchmark peers are dedicated processes, and "polling is more
 /// efficient in parallel applications that communicate intensely" (§3.3).

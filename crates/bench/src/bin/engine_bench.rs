@@ -29,15 +29,15 @@
 //! Results print as tables and are written to `BENCH_engine.json` at the
 //! repo root (schema 5). Flags: `--quick` shrinks every workload for CI
 //! smoke runs; `--shards <n>` pins the executor for the non-scaling
-//! workloads; `--fidelity <spec>` sets the preset fidelity default for
-//! workloads that don't pin their own (grammar of `VNET_FIDELITY`);
-//! `--check` additionally compares the freshly measured wheel-vs-heap
-//! speedup against the committed `BENCH_engine.json` and exits non-zero
-//! on a >25% regression (a machine-neutral ratio, unlike absolute
-//! events/s), gates the telemetry-overhead confidence interval, requires
-//! the mixed-fidelity bulk-128 row to beat the all-full row in events/s,
-//! and — on machines with enough cores — fails if 4-shard bulk-128 is
-//! not faster than sequential.
+//! workloads (through the `VNET_SHARDS` preset, like every bench binary;
+//! the scaling rows set their own counts); `--check` additionally
+//! compares the freshly measured wheel-vs-heap speedup against the
+//! committed `BENCH_engine.json` and exits non-zero on a >25% regression
+//! (a machine-neutral ratio, unlike absolute events/s), gates the
+//! telemetry-overhead confidence interval, requires the mixed-fidelity
+//! bulk-128 row to beat the all-full row in events/s, and — on machines
+//! with enough cores — fails if 4-shard bulk-128 is not faster than
+//! sequential.
 //!
 //! Scaling rows are only measured where `shards_requested ≤ cores`: with
 //! more worker threads than cores the sweep would time barrier
@@ -50,9 +50,7 @@
 use std::time::Instant;
 use vnet_apps::bsp::{launch_job, BspApp, BspRunner, SuperStep};
 use vnet_apps::collectives;
-use vnet_bench::{
-    emit_telemetry, f1, f2, init_fidelity_env, quick_mode, with_shards_arg, RefHeap, Table,
-};
+use vnet_bench::{emit_telemetry, f1, f2, init_shards_env, quick_mode, RefHeap, Table};
 use vnet_core::prelude::*;
 use vnet_sim::{Due, SimRng, TimingWheel};
 
@@ -473,7 +471,7 @@ fn run_mixed_bulk(
 /// abstract host sends `(n-1) * per_pair` bytes as MTU-sized abstract
 /// messages). One warm-up + one measured run per side.
 fn bench_fidelity_ab(n: u32, per_pair: u64, scheds: &[Vec<SuperStep>]) -> (FidelitySide, FidelitySide) {
-    let cfg_full = with_shards_arg(ClusterConfig::now(n).with_audit(false));
+    let cfg_full = ClusterConfig::now(n).with_audit(false);
     let _ = run_cluster(cfg_full.clone(), scheds);
     let (ev, wall, sim, _) = run_cluster(cfg_full, scheds);
     eprintln!("  [fidelity-full] {ev} events over {sim:.3} simulated s");
@@ -486,7 +484,7 @@ fn bench_fidelity_ab(n: u32, per_pair: u64, scheds: &[Vec<SuperStep>]) -> (Fidel
     let mut fid = FidelityMap::full();
     fid.set_hosts(AB_FULL_HOSTS..n, Fidelity::Abstract);
     let cfg_mixed =
-        with_shards_arg(ClusterConfig::now(n).with_audit(false)).with_fidelity(fid);
+        ClusterConfig::now(n).with_audit(false).with_fidelity(fid);
     let payload: u32 = 8192;
     let count = ((n as u64 - 1) * per_pair).div_ceil(payload as u64);
     let full_scheds = alltoall_schedules(AB_FULL_HOSTS as usize, 1, per_pair, 8192);
@@ -633,7 +631,7 @@ fn json_number(text: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    init_fidelity_env();
+    init_shards_env();
     let quick = quick_mode();
     let check = std::env::args().any(|a| a == "--check");
     let json_path = vnet_bench::out_dir().join("BENCH_engine.json");
@@ -656,7 +654,7 @@ fn main() {
     eprintln!("all-to-all-8: {rounds} rounds of 64 B per pair...");
     let a2a = alltoall_schedules(8, rounds, 64, 8192);
     let all_to_all_8 =
-        bench_cluster("a2a-8", with_shards_arg(ClusterConfig::now(8).with_audit(false)), &a2a);
+        bench_cluster("a2a-8", ClusterConfig::now(8).with_audit(false), &a2a);
 
     // Both observer-overhead comparisons run on a fixed-size workload
     // (independent of --quick) so the numbers are comparable across runs.
@@ -666,8 +664,8 @@ fn main() {
     // paired median-of-ratios estimator suffice for a stable reading.
     eprintln!("audit overhead: all-to-all-8 with auditor hooks attached vs detached...");
     let audit = bench_cluster_ab(
-        with_shards_arg(ClusterConfig::now(8).with_audit(false)),
-        with_shards_arg(ClusterConfig::now(8).with_audit(true)),
+        ClusterConfig::now(8).with_audit(false),
+        ClusterConfig::now(8).with_audit(true),
         &a2a_tel,
         7,
         7,
@@ -684,8 +682,8 @@ fn main() {
     // before its upper bound clears a 2% ceiling on a noisy box.
     eprintln!("telemetry overhead: all-to-all-8 with telemetry hooks attached vs detached...");
     let tel = bench_cluster_ab(
-        with_shards_arg(ClusterConfig::now(8).with_audit(false)),
-        with_shards_arg(ClusterConfig::now(8).with_audit(false).with_telemetry(true)),
+        ClusterConfig::now(8).with_audit(false),
+        ClusterConfig::now(8).with_audit(false).with_telemetry(true),
         &a2a_tel,
         9,
         121,
@@ -697,7 +695,7 @@ fn main() {
     eprintln!("bulk-32: {bulk_rounds} rounds of 64 KB per pair...");
     let bulk = alltoall_schedules(32, bulk_rounds, 65_536, 8192);
     let bulk_32 =
-        bench_cluster("bulk-32", with_shards_arg(ClusterConfig::now(32).with_audit(false)), &bulk);
+        bench_cluster("bulk-32", ClusterConfig::now(32).with_audit(false), &bulk);
 
     let shard_counts = [1, 2, 4, 8];
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

@@ -173,7 +173,7 @@ fn run_plan(plan: &Plan) -> RunOut {
         .with_audit(true)
         .with_faults(plan.faults.clone());
     cfg.topology = TopologySpec::FatTree { leaves: 4, hosts_per_leaf: 2, spines: 2 };
-    let mut c = Cluster::new(vnet_bench::with_shards_arg(cfg));
+    let mut c = Cluster::new(cfg);
 
     let echo: EpFactory = Arc::new(|gep| Box::new(Service { ep: gep.ep, pending: Vec::new() }));
     let tenant = |name: &str| TenantSpec {

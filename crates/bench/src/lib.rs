@@ -114,33 +114,19 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// The worker-shard count passed via `--shards <n>`, if any. Every bench
-/// binary applies it on top of its configuration (results are
-/// byte-identical for any value; only wall time changes). The
-/// `VNET_SHARDS` environment variable sets the preset default instead.
-pub fn shards_arg() -> Option<u32> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--shards").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("--shards requires a positive integer"))
-    })
-}
-
-/// Apply the `--shards` override (when present) to a configuration.
-pub fn with_shards_arg(cfg: vnet_core::ClusterConfig) -> vnet_core::ClusterConfig {
-    match shards_arg() {
-        Some(n) => cfg.with_shards(n),
-        None => cfg,
-    }
-}
-
 /// Map `--shards <n>` onto the `VNET_SHARDS` environment variable so that
 /// every cluster the binary builds — including those constructed inside
-/// `vnet-apps` helpers — picks it up as its preset default. Call once at
-/// the top of `main`, before any cluster is created.
+/// `vnet-apps` helpers — picks it up as its preset shard count (results
+/// are byte-identical for any value; only wall time changes). An explicit
+/// `with_shards` still wins. Call once at the top of `main`, before any
+/// cluster is created.
 pub fn init_shards_env() {
-    if let Some(n) = shards_arg() {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == "--shards") {
+        let n: u32 = args
+            .get(i + 1)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("--shards requires a positive integer"));
         std::env::set_var("VNET_SHARDS", n.to_string());
     }
 }
@@ -150,33 +136,6 @@ pub fn init_shards_env() {
 /// `["seed", "shards"]` suffix in the table header.
 pub fn repro_cells(seed: u64, shards: u32) -> Vec<String> {
     vec![format!("{seed:#x}"), shards.to_string()]
-}
-
-/// The fidelity spec passed via `--fidelity <spec>`, if any. The spec
-/// uses the `VNET_FIDELITY` grammar (e.g. `full`, `abstract`,
-/// `abstract:8-127`, `full:0-7;fabric=delay`); see
-/// `vnet_core::FidelityMap::parse`.
-pub fn fidelity_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--fidelity").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("--fidelity requires a spec argument"))
-            .clone()
-    })
-}
-
-/// Map `--fidelity <spec>` onto the `VNET_FIDELITY` environment variable
-/// so that every cluster the binary builds picks it up as its preset
-/// default (workloads that pin fidelity explicitly via
-/// `with_fidelity`/builder calls still win — builder > env > default).
-/// Call once at the top of `main`, before any cluster is created. The
-/// spec is validated eagerly so a typo fails here, not deep in a run.
-pub fn init_fidelity_env() {
-    if let Some(spec) = fidelity_arg() {
-        let _ = vnet_core::FidelityMap::parse(&spec)
-            .unwrap_or_else(|e| panic!("--fidelity {spec:?}: {e}"));
-        std::env::set_var("VNET_FIDELITY", spec);
-    }
 }
 
 /// The directory passed via `--telemetry <dir>`, if any. When present,

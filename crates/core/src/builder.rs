@@ -5,7 +5,6 @@
 //!
 //! let cluster = Cluster::builder()
 //!     .hosts(4)
-//!     .frames(96)
 //!     .seed(7)
 //!     .telemetry(true)
 //!     .build();
@@ -13,35 +12,25 @@
 //! assert!(cluster.telemetry().enabled());
 //! ```
 //!
-//! `Cluster::new(cfg)` remains for callers that already hold a
-//! [`ClusterConfig`]; the builder is sugar over the same presets
-//! ([`ClusterConfig::now`] / [`ClusterConfig::gam`]) plus the common
-//! overrides, with [`ClusterBuilder::tweak`] as the escape hatch for
-//! everything else.
+//! The builder is sugar over [`ClusterConfig`]: it records the host count
+//! and, per method call, one edit of the configuration (mostly the
+//! matching `with_*` call). [`ClusterBuilder::build`] applies the edits in
+//! call order to [`ClusterConfig::now`] for that host count, so
+//! `.seed(3).hosts(4)` and `.hosts(4).seed(3)` describe the same cluster.
+//! Anything the builder has no method for is set on a `ClusterConfig`
+//! passed to `Cluster::new(cfg)`.
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
-use crate::model::{Fidelity, FidelityMap};
+use crate::model::Fidelity;
 use vnet_net::{FaultScheduleSpec, TopologySpec};
 
-type ConfigTweak = Box<dyn FnOnce(&mut ClusterConfig)>;
+type Edit = Box<dyn FnOnce(ClusterConfig) -> ClusterConfig>;
 
 /// Fluent builder for a [`Cluster`]; see the module docs.
 pub struct ClusterBuilder {
     hosts: u32,
-    gam: bool,
-    topology: Option<TopologySpec>,
-    frames: Option<u32>,
-    seed: Option<u64>,
-    credits: Option<u32>,
-    drop_prob: Option<f64>,
-    corrupt_prob: Option<f64>,
-    audit: Option<bool>,
-    telemetry: Option<bool>,
-    shards: Option<u32>,
-    fidelity: Option<FidelityMap>,
-    faults: Option<FaultScheduleSpec>,
-    tweaks: Vec<ConfigTweak>,
+    edits: Vec<Edit>,
 }
 
 impl Default for ClusterBuilder {
@@ -53,22 +42,12 @@ impl Default for ClusterBuilder {
 impl ClusterBuilder {
     /// A builder for the paper's default two-host virtual-network cluster.
     pub fn new() -> Self {
-        ClusterBuilder {
-            hosts: 2,
-            gam: false,
-            topology: None,
-            frames: None,
-            seed: None,
-            credits: None,
-            drop_prob: None,
-            corrupt_prob: None,
-            audit: None,
-            telemetry: None,
-            shards: None,
-            fidelity: None,
-            faults: None,
-            tweaks: Vec::new(),
-        }
+        ClusterBuilder { hosts: 2, edits: Vec::new() }
+    }
+
+    fn edit(mut self, f: impl FnOnce(ClusterConfig) -> ClusterConfig + 'static) -> Self {
+        self.edits.push(Box::new(f));
+        self
     }
 
     /// Number of hosts (crossbar topology unless overridden; `100` gives
@@ -78,200 +57,134 @@ impl ClusterBuilder {
         self
     }
 
-    /// Use the first-generation GAM baseline instead of virtual networks.
-    pub fn gam(mut self) -> Self {
-        self.gam = true;
-        self
-    }
-
     /// Explicit network topology (overrides the host-count default).
-    pub fn topology(mut self, t: TopologySpec) -> Self {
-        self.topology = Some(t);
-        self
+    pub fn topology(self, t: TopologySpec) -> Self {
+        self.edit(move |c| ClusterConfig { topology: t, ..c })
     }
 
-    /// NI endpoint frames per NIC (8 = LANai 4.3, 96 = newer interface).
-    pub fn frames(mut self, frames: u32) -> Self {
-        self.frames = Some(frames);
-        self
+    /// Master seed ([`ClusterConfig::with_seed`]).
+    pub fn seed(self, seed: u64) -> Self {
+        self.edit(move |c| c.with_seed(seed))
     }
 
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
+    /// Attach (or detach) the cross-layer invariant auditor's hooks
+    /// ([`ClusterConfig::with_audit`]). Default: debug builds only.
+    pub fn audit(self, on: bool) -> Self {
+        self.edit(move |c| c.with_audit(on))
     }
 
-    /// User-level request credits per destination endpoint.
-    pub fn credits(mut self, credits: u32) -> Self {
-        self.credits = Some(credits);
-        self
+    /// Attach the span log and the NIC frame counters
+    /// ([`ClusterConfig::with_telemetry`], read back through
+    /// `Cluster::telemetry`). Default: off.
+    pub fn telemetry(self, on: bool) -> Self {
+        self.edit(move |c| c.with_telemetry(on))
     }
 
-    /// Random per-packet drop probability.
-    pub fn drop_prob(mut self, p: f64) -> Self {
-        self.drop_prob = Some(p);
-        self
-    }
-
-    /// Random per-packet corruption probability.
-    pub fn corrupt_prob(mut self, p: f64) -> Self {
-        self.corrupt_prob = Some(p);
-        self
-    }
-
-    /// Attach (or detach) the cross-layer invariant auditor's hooks.
-    /// Default: debug builds only.
-    pub fn audit(mut self, on: bool) -> Self {
-        self.audit = Some(on);
-        self
-    }
-
-    /// Attach the span log and the NIC frame counters (read back through
-    /// `Cluster::telemetry`; an audit report then shows the events
-    /// before the first violation). Default: the `VNET_TELEMETRY`
-    /// environment variable, else off.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.telemetry = Some(on);
-        self
-    }
-
-    /// Worker shards for the conservative parallel executor (clamped to
-    /// what the topology supports; results are byte-identical for any
-    /// value). Default: the `VNET_SHARDS` environment variable, else 1
-    /// (sequential).
-    pub fn shards(mut self, n: u32) -> Self {
-        self.shards = Some(n);
-        self
+    /// Worker shards for the conservative parallel executor
+    /// ([`ClusterConfig::with_shards`]). Default: the `VNET_SHARDS`
+    /// preset, else 1 (sequential).
+    pub fn shards(self, n: u32) -> Self {
+        self.edit(move |c| c.with_shards(n))
     }
 
     /// Assign a fidelity class to the listed hosts (see
     /// [`crate::model`]): `Fidelity::Abstract` hosts run the fast LogP
-    /// model, everything else stays `Fidelity::Full`. The first fidelity
-    /// call on a builder starts from full-everywhere and *replaces* any
-    /// `VNET_FIDELITY` environment default (the builder > env > default
-    /// contract in [`crate::config`]); later calls accumulate.
-    pub fn fidelity(mut self, hosts: impl IntoIterator<Item = u32>, f: Fidelity) -> Self {
-        self.fidelity.get_or_insert_with(FidelityMap::full).set_hosts(hosts, f);
-        self
+    /// model, everything else stays `Fidelity::Full`. Fidelity calls
+    /// accumulate onto one [`ClusterConfig::fidelity`] map.
+    pub fn fidelity(self, hosts: impl IntoIterator<Item = u32>, f: Fidelity) -> Self {
+        let hosts: Vec<u32> = hosts.into_iter().collect();
+        self.edit(move |mut c| {
+            c.fidelity.set_hosts(hosts, f);
+            c
+        })
     }
 
-    /// The fidelity class unlisted hosts take (replaces/seeds the map the
-    /// same way as [`ClusterBuilder::fidelity`]).
-    pub fn default_fidelity(mut self, f: Fidelity) -> Self {
-        self.fidelity.get_or_insert_with(FidelityMap::full).set_default_host(f);
-        self
+    /// The fidelity class unlisted hosts take.
+    pub fn default_fidelity(self, f: Fidelity) -> Self {
+        self.edit(move |mut c| {
+            c.fidelity.set_default_host(f);
+            c
+        })
     }
 
     /// The fabric's fidelity (`Fidelity::Abstract` selects the delay-only
-    /// fabric; same map-seeding rule as [`ClusterBuilder::fidelity`]).
-    pub fn fabric_fidelity(mut self, f: Fidelity) -> Self {
-        self.fidelity.get_or_insert_with(FidelityMap::full).set_fabric(f);
-        self
+    /// fabric).
+    pub fn fabric_fidelity(self, f: Fidelity) -> Self {
+        self.edit(move |mut c| {
+            c.fidelity.set_fabric(f);
+            c
+        })
     }
 
     /// Scheduled fault campaign: timed link flaps, switch failures,
     /// degrade windows, bursty errors (see
-    /// [`vnet_net::FaultScheduleSpec`]). Default: none.
-    pub fn faults(mut self, spec: FaultScheduleSpec) -> Self {
-        self.faults = Some(spec);
-        self
+    /// [`ClusterConfig::with_faults`]). Default: none.
+    pub fn faults(self, spec: FaultScheduleSpec) -> Self {
+        self.edit(move |c| c.with_faults(spec))
     }
 
-    /// Escape hatch: arbitrary configuration surgery, applied after every
-    /// other builder option, in registration order.
-    pub fn tweak(mut self, f: impl FnOnce(&mut ClusterConfig) + 'static) -> Self {
-        self.tweaks.push(Box::new(f));
-        self
-    }
-
-    /// Resolve the configuration this builder describes.
-    pub fn config(&self) -> ClusterConfig {
-        let mut cfg =
-            if self.gam { ClusterConfig::gam(self.hosts) } else { ClusterConfig::now(self.hosts) };
-        if let Some(t) = &self.topology {
-            cfg.topology = t.clone();
-        }
-        if let Some(f) = self.frames {
-            cfg.nic.frames = f;
-        }
-        if let Some(s) = self.seed {
-            cfg.seed = s;
-        }
-        if let Some(c) = self.credits {
-            cfg.credits = c;
-        }
-        if let Some(p) = self.drop_prob {
-            cfg.drop_prob = p;
-        }
-        if let Some(p) = self.corrupt_prob {
-            cfg.corrupt_prob = p;
-        }
-        if let Some(a) = self.audit {
-            cfg.audit = a;
-        }
-        if let Some(t) = self.telemetry {
-            cfg.telemetry = t;
-        }
-        if let Some(s) = self.shards {
-            cfg.shards = s.max(1);
-        }
-        if let Some(f) = &self.fidelity {
-            cfg.fidelity = f.clone();
-        }
-        if let Some(f) = &self.faults {
-            cfg.faults = f.clone();
-        }
-        cfg
+    /// The configuration: every edit, in call order, applied to the
+    /// preset for the host count.
+    fn resolve(self) -> ClusterConfig {
+        self.edits.into_iter().fold(ClusterConfig::now(self.hosts), |cfg, e| e(cfg))
     }
 
     /// Build the cluster.
     pub fn build(self) -> Cluster {
-        let mut cfg = self.config();
-        for t in self.tweaks {
-            t(&mut cfg);
-        }
-        Cluster::new(cfg)
+        Cluster::new(self.resolve())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mode;
+    use vnet_sim::SimTime;
 
     #[test]
     fn builder_resolves_presets_and_overrides() {
-        let b = ClusterBuilder::new()
+        let faults =
+            FaultScheduleSpec::none().fail_switch(0, SimTime::ZERO, SimTime::from_nanos(1_000));
+        let topo = TopologySpec::Crossbar { hosts: 6 };
+        let cfg = ClusterBuilder::new()
             .hosts(4)
-            .frames(96)
             .seed(42)
-            .credits(16)
-            .drop_prob(0.1)
             .audit(false)
-            .telemetry(true);
-        let cfg = b.config();
+            .telemetry(true)
+            .shards(3)
+            .faults(faults.clone())
+            .default_fidelity(Fidelity::Abstract)
+            .fidelity(0..3, Fidelity::Full)
+            .fabric_fidelity(Fidelity::Abstract)
+            .resolve();
         assert_eq!(cfg.hosts(), 4);
-        assert_eq!(cfg.nic.frames, 96);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.credits, 16);
-        assert!((cfg.drop_prob - 0.1).abs() < 1e-12);
         assert!(!cfg.audit);
         assert!(cfg.telemetry);
-        let c = b.build();
+        assert_eq!(cfg.shards, 3);
+        assert_eq!(cfg.faults, faults);
+        assert_eq!(cfg.fidelity.of(2), Fidelity::Full);
+        assert_eq!(cfg.fidelity.of(3), Fidelity::Abstract);
+        assert_eq!(cfg.fidelity.fabric(), Fidelity::Abstract);
+        // Untouched fields keep the preset's values.
+        let preset = ClusterConfig::now(4);
+        assert_eq!(cfg.nic.frames, preset.nic.frames);
+        assert_eq!(cfg.credits, preset.credits);
+
+        assert_eq!(ClusterBuilder::new().resolve().hosts(), 2);
+        assert_eq!(ClusterBuilder::new().shards(0).resolve().shards, 1);
+        let cfg = ClusterBuilder::new().hosts(4).topology(topo).resolve();
+        assert_eq!(cfg.hosts(), 6, "an explicit topology beats the host count");
+
+        // Call order relative to `.hosts()` does not matter.
+        let late = ClusterBuilder::new().seed(3).audit(true).hosts(4).resolve();
+        let early = ClusterBuilder::new().hosts(4).seed(3).audit(true).resolve();
+        assert_eq!(format!("{late:?}"), format!("{early:?}"));
+        assert_eq!(late.hosts(), 4);
+        assert_eq!(late.seed, 3);
+
+        let c = ClusterBuilder::new().hosts(4).audit(false).telemetry(true).build();
         assert_eq!(c.hosts(), 4);
         assert!(c.telemetry().enabled());
-    }
-
-    #[test]
-    fn builder_gam_and_tweak() {
-        let c = Cluster::builder()
-            .gam()
-            .hosts(2)
-            .tweak(|cfg| cfg.net.link_mb_s = 320.0)
-            .build();
-        assert_eq!(c.world().cfg.mode, Mode::Gam);
-        assert!(!c.telemetry().enabled());
     }
 
     #[test]
@@ -280,10 +193,21 @@ mod tests {
             .hosts(8)
             .fidelity(4..8, Fidelity::Abstract)
             .fabric_fidelity(Fidelity::Abstract)
-            .config();
+            .resolve();
         assert_eq!(cfg.fidelity.of(0), Fidelity::Full);
         assert_eq!(cfg.fidelity.of(4), Fidelity::Abstract);
         assert_eq!(cfg.fidelity.fabric(), Fidelity::Abstract);
         assert!(cfg.fidelity.any_abstract(8));
+
+        // Later calls accumulate onto the same map.
+        let cfg = ClusterBuilder::new()
+            .hosts(8)
+            .default_fidelity(Fidelity::Abstract)
+            .fidelity([6, 7], Fidelity::Full)
+            .resolve();
+        assert_eq!(cfg.fidelity.default_host(), Fidelity::Abstract);
+        assert_eq!(cfg.fidelity.of(0), Fidelity::Abstract);
+        assert_eq!(cfg.fidelity.of(7), Fidelity::Full);
+        assert_eq!(cfg.fidelity.fabric(), Fidelity::Full);
     }
 }

@@ -1,24 +1,21 @@
 //! Cluster configuration and the calibrated host cost model.
 //!
-//! # Knob precedence
+//! # Run-shape settings
 //!
-//! Every run-shape knob — [`ClusterConfig::shards`], [`ClusterConfig::audit`],
-//! [`ClusterConfig::telemetry`], [`ClusterConfig::fidelity`] — resolves the
-//! same way, and this is the one place the contract is written down:
+//! Every run-shape setting — [`ClusterConfig::shards`],
+//! [`ClusterConfig::audit`], [`ClusterConfig::telemetry`],
+//! [`ClusterConfig::fidelity`] — has one way in: its field, set through
+//! the matching `with_*` method (or the [`crate::ClusterBuilder`] method
+//! that applies the same edit). A preset ([`ClusterConfig::now`],
+//! [`ClusterConfig::gam`]) starts from the defaults: audit in debug builds
+//! only, telemetry off, full fidelity everywhere, and one shard.
 //!
-//! 1. **builder** — an explicit `with_*` call on `ClusterConfig` (or the
-//!    corresponding [`crate::ClusterBuilder`] method) always wins;
-//! 2. **environment** — otherwise the variable (`VNET_SHARDS`,
-//!    `VNET_AUDIT`, `VNET_TELEMETRY`, `VNET_FIDELITY`), read when the
-//!    config preset is constructed;
-//! 3. **default** — otherwise `1` shard, audit in debug builds only,
-//!    telemetry off, full fidelity everywhere.
-//!
-//! The environment is consulted once, inside the preset constructors
-//! ([`ClusterConfig::now`] and friends); a `with_*` call after that
-//! replaces the resolved value wholesale. Bench binaries map their
-//! `--shards` / `--fidelity` flags onto the same environment variables
-//! before building, so flags inherit this contract.
+//! The one exception is the preset shard count, which comes from the
+//! `VNET_SHARDS` environment variable when it is set (a malformed value
+//! panics). It is the only environment variable the simulator reads; it
+//! lets the unchanged test suite run under the parallel executor, and
+//! bench binaries map their `--shards` flag onto it. An explicit
+//! [`ClusterConfig::with_shards`] call always wins over it.
 
 use crate::model::FidelityMap;
 use vnet_net::{FaultScheduleSpec, NetConfig, TopologySpec};
@@ -136,14 +133,12 @@ pub struct ClusterConfig {
     /// partition hosts across threads with link-latency lookahead.
     /// Results are byte-identical for any value — the count is clamped
     /// to what the topology supports (see `vnet_net::Partition::plan`).
-    /// The `VNET_SHARDS` environment variable overrides the preset
-    /// default (but not an explicit [`ClusterConfig::with_shards`]).
+    /// The presets take it from the `VNET_SHARDS` environment variable
+    /// when set (see the module docs).
     pub shards: u32,
     /// Per-node (and fabric) fidelity selection — which hosts run the
     /// complete machinery and which run the abstract LogP model (see
-    /// [`crate::model`]). Defaults to full everywhere; the
-    /// `VNET_FIDELITY` environment variable overrides the preset default
-    /// (but not an explicit [`ClusterConfig::with_fidelity`]).
+    /// [`crate::model`]). Defaults to full everywhere.
     pub fidelity: FidelityMap,
 }
 
@@ -170,10 +165,10 @@ impl ClusterConfig {
             faults: FaultScheduleSpec::none(),
             seed: 0x5EED,
             credits: 32,
-            audit: env_flag("VNET_AUDIT").unwrap_or(cfg!(debug_assertions)),
-            telemetry: env_flag("VNET_TELEMETRY").unwrap_or(false),
-            shards: env_shards().unwrap_or(1),
-            fidelity: env_fidelity().unwrap_or_default(),
+            audit: cfg!(debug_assertions),
+            telemetry: false,
+            shards: env_shards(),
+            fidelity: FidelityMap::full(),
         }
     }
 
@@ -219,17 +214,15 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style parallel-shard override. Takes precedence over the
-    /// `VNET_SHARDS` environment default, so differential tests can pin
-    /// both sides of a sequential-vs-parallel comparison.
+    /// Builder-style parallel-shard override (`0` means 1). Takes
+    /// precedence over the `VNET_SHARDS` preset, so differential tests can
+    /// pin both sides of a sequential-vs-parallel comparison.
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.shards = shards.max(1);
         self
     }
 
-    /// Builder-style fidelity override. Takes precedence over the
-    /// `VNET_FIDELITY` environment default (see the module docs for the
-    /// knob-precedence contract).
+    /// Builder-style fidelity override.
     pub fn with_fidelity(mut self, fidelity: FidelityMap) -> Self {
         self.fidelity = fidelity;
         self
@@ -241,67 +234,25 @@ impl ClusterConfig {
     }
 }
 
-/// The `VNET_SHARDS` environment default (None when unset or unparsable).
-pub(crate) fn env_shards() -> Option<u32> {
-    env_lookup("VNET_SHARDS")?.trim().parse::<u32>().ok().map(|n| n.max(1))
+/// The preset shard count: the `VNET_SHARDS` environment variable, read
+/// here and nowhere else. The CI matrices use it to run the unchanged
+/// suite under the parallel executor.
+#[allow(clippy::disallowed_methods)]
+fn env_shards() -> u32 {
+    let v = std::env::var_os("VNET_SHARDS").map(|v| v.to_string_lossy().into_owned());
+    shards_from_env(v.as_deref())
 }
 
-/// A boolean environment default: `1`/`true`/`on`/`yes` or
-/// `0`/`false`/`off`/`no` (None when unset or unrecognized).
-pub(crate) fn env_flag(name: &str) -> Option<bool> {
-    match env_lookup(name)?.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// The `VNET_FIDELITY` environment default (None when unset). A set but
-/// malformed value panics — silently running everything at full fidelity
-/// when the user asked for abstraction would be worse.
-pub(crate) fn env_fidelity() -> Option<FidelityMap> {
-    let s = env_lookup("VNET_FIDELITY")?;
-    match FidelityMap::parse(&s) {
-        Ok(m) => Some(m),
-        Err(e) => panic!("VNET_FIDELITY={s:?}: {e}"),
-    }
-}
-
-/// One environment read path for every knob, with a thread-local test
-/// seam: precedence tests override variables per thread instead of racing
-/// on the process environment.
-pub(crate) fn env_lookup(name: &str) -> Option<String> {
-    #[cfg(test)]
-    if let Some(v) = test_env::get(name) {
-        return v;
-    }
-    std::env::var(name).ok()
-}
-
-/// Thread-local environment overrides for tests (`None` masks a variable
-/// that is genuinely set in the process environment).
-#[cfg(test)]
-pub(crate) mod test_env {
-    use std::cell::RefCell;
-    use vnet_sim::FxHashMap;
-
-    thread_local! {
-        static OVERRIDES: RefCell<FxHashMap<String, Option<String>>> =
-            RefCell::new(FxHashMap::default());
-    }
-
-    pub(crate) fn set(name: &str, value: Option<&str>) {
-        OVERRIDES.with(|o| o.borrow_mut().insert(name.to_string(), value.map(String::from)));
-    }
-
-    pub(crate) fn clear(name: &str) {
-        OVERRIDES.with(|o| {
-            o.borrow_mut().remove(name);
-        });
-    }
-
-    pub(crate) fn get(name: &str) -> Option<Option<String>> {
-        OVERRIDES.with(|o| o.borrow().get(name).cloned())
+/// Parse a `VNET_SHARDS` value: unset means 1, `0` is clamped to 1, and
+/// a set but malformed value panics — a typo would otherwise run the
+/// suite sequentially and pass without exercising the executor.
+fn shards_from_env(v: Option<&str>) -> u32 {
+    match v {
+        None => 1,
+        Some(s) => match s.trim().parse::<u32>() {
+            Ok(n) => n.max(1),
+            Err(e) => panic!("VNET_SHARDS={s:?}: {e}"),
+        },
     }
 }
 
@@ -336,45 +287,37 @@ mod tests {
         assert_eq!(ClusterConfig::now(16).hosts(), 16);
     }
 
-    /// The module-doc precedence contract (builder > env > default),
-    /// asserted for all four run-shape knobs through the thread-local
-    /// environment seam.
+    /// `VNET_SHARDS` parsing: unset or `0` is one shard, whitespace is
+    /// tolerated.
     #[test]
-    fn knob_precedence_builder_over_env_over_default() {
-        use crate::model::Fidelity;
-        let knobs = ["VNET_SHARDS", "VNET_AUDIT", "VNET_TELEMETRY", "VNET_FIDELITY"];
-        // Defaults (masking anything leaked into the process environment).
-        for k in knobs {
-            test_env::set(k, None);
-        }
+    fn shards_from_env_parses() {
+        assert_eq!(shards_from_env(None), 1);
+        assert_eq!(shards_from_env(Some("4")), 4);
+        assert_eq!(shards_from_env(Some(" 2 ")), 2);
+        assert_eq!(shards_from_env(Some("0")), 1);
+    }
+
+    /// A set but malformed `VNET_SHARDS` fails loudly and names the value
+    /// instead of silently running one shard.
+    #[test]
+    #[should_panic(expected = "VNET_SHARDS=\"four\"")]
+    fn shards_from_env_rejects_malformed() {
+        shards_from_env(Some("four"));
+    }
+
+    /// The defaults of the run-shape settings, and an explicit `with_*`
+    /// call beating the `VNET_SHARDS` preset whatever the environment
+    /// holds.
+    #[test]
+    fn defaults_and_with_overrides() {
         let c = ClusterConfig::now(4);
-        assert_eq!(c.shards, 1);
         assert_eq!(c.audit, cfg!(debug_assertions));
         assert!(!c.telemetry);
         assert_eq!(c.fidelity, FidelityMap::full());
-        // The environment overrides the default...
-        test_env::set("VNET_SHARDS", Some("4"));
-        test_env::set("VNET_AUDIT", Some("on"));
-        test_env::set("VNET_TELEMETRY", Some("1"));
-        test_env::set("VNET_FIDELITY", Some("abstract:2-3"));
-        let c = ClusterConfig::now(4);
-        assert_eq!(c.shards, 4);
-        assert!(c.audit);
-        assert!(c.telemetry);
-        assert_eq!(c.fidelity.of(0), Fidelity::Full);
-        assert_eq!(c.fidelity.of(2), Fidelity::Abstract);
-        // ...and an explicit builder-style call beats the environment.
-        let c = ClusterConfig::now(4)
-            .with_shards(2)
-            .with_audit(false)
-            .with_telemetry(false)
-            .with_fidelity(FidelityMap::full());
+        let c = ClusterConfig::now(4).with_shards(2).with_audit(false).with_telemetry(true);
         assert_eq!(c.shards, 2);
         assert!(!c.audit);
-        assert!(!c.telemetry);
-        assert_eq!(c.fidelity, FidelityMap::full());
-        for k in knobs {
-            test_env::clear(k);
-        }
+        assert!(c.telemetry);
+        assert_eq!(ClusterConfig::now(4).with_shards(0).shards, 1);
     }
 }

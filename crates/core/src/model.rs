@@ -20,16 +20,16 @@
 //! `vnet_net::Fabric` type; the slots are plain enums matched at each call,
 //! with no trait layer between the world and the models.
 //!
-//! Fidelity is chosen **per node** through [`FidelityMap`] (builder
-//! `fidelity(..)` > `VNET_FIDELITY` env > default Full — see
-//! [`crate::config`] for the precedence contract). Mixing is sound
-//! because the classes couple only through the shared fabric: abstract
-//! traffic reserves links (under the full fabric) exactly like real
-//! frames, so full-fidelity hosts feel its contention, while abstract
-//! hosts never participate in endpoint protocols. Endpoints, threads,
-//! and residency exist only on full hosts; abstract hosts are driven by
-//! [`crate::Cluster::drive_abstract`] and report coarse [`AbsStats`]
-//! counters (`host{N}.abs.*`).
+//! Fidelity is chosen **per node** through [`FidelityMap`], set with
+//! [`crate::ClusterConfig::with_fidelity`] or the builder's `fidelity(..)`
+//! / `default_fidelity(..)` / `fabric_fidelity(..)`; the default is Full
+//! everywhere. Mixing is sound because the classes couple only through
+//! the shared fabric: abstract traffic reserves links (under the full
+//! fabric) exactly like real frames, so full-fidelity hosts feel its
+//! contention, while abstract hosts never participate in endpoint
+//! protocols. Endpoints, threads, and residency exist only on full hosts;
+//! abstract hosts are driven by [`crate::Cluster::drive_abstract`] and
+//! report coarse [`AbsStats`] counters (`host{N}.abs.*`).
 //!
 //! Determinism is preserved across fidelity choices: abstract hosts draw
 //! from the same per-host derived RNG streams, inject through the same
@@ -127,82 +127,6 @@ impl FidelityMap {
             || self.default_host == Fidelity::Abstract
             || (0..n).any(|h| self.of(h) == Fidelity::Abstract)
     }
-
-    /// Parse the `VNET_FIDELITY` grammar:
-    ///
-    /// ```text
-    /// full                        everything full (the default)
-    /// abstract                    every host abstract
-    /// abstract:4-15,20            listed hosts abstract, the rest full
-    /// full:0-3                    listed hosts full, the rest abstract
-    /// ...;fabric=abstract         append to select the delay-only fabric
-    /// ```
-    ///
-    /// Ranges are inclusive. The fabric defaults to full unless the
-    /// `fabric=` suffix says otherwise.
-    pub fn parse(s: &str) -> Result<FidelityMap, String> {
-        let mut map = FidelityMap::full();
-        for (i, part) in s.trim().split(';').enumerate() {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if i == 0 {
-                let (kind, ranges) = match part.split_once(':') {
-                    Some((k, r)) => (k.trim(), Some(r)),
-                    None => (part, None),
-                };
-                let listed = match kind {
-                    "full" => Fidelity::Full,
-                    "abstract" => Fidelity::Abstract,
-                    other => return Err(format!("unknown fidelity {other:?}")),
-                };
-                match ranges {
-                    None => map.default_host = listed,
-                    Some(r) => {
-                        map.default_host = match listed {
-                            Fidelity::Full => Fidelity::Abstract,
-                            Fidelity::Abstract => Fidelity::Full,
-                        };
-                        map.set_hosts(parse_ranges(r)?, listed);
-                    }
-                }
-            } else {
-                let Some((key, val)) = part.split_once('=') else {
-                    return Err(format!("expected key=value, got {part:?}"));
-                };
-                match (key.trim(), val.trim()) {
-                    ("fabric", "full") => map.fabric = Fidelity::Full,
-                    ("fabric", "abstract" | "delay") => map.fabric = Fidelity::Abstract,
-                    (k, v) => return Err(format!("unknown option {k}={v}")),
-                }
-            }
-        }
-        Ok(map)
-    }
-}
-
-/// Parse `"4-15,20"` into the listed host ids.
-fn parse_ranges(s: &str) -> Result<Vec<u32>, String> {
-    let mut out = Vec::new();
-    for item in s.split(',') {
-        let item = item.trim();
-        if item.is_empty() {
-            continue;
-        }
-        match item.split_once('-') {
-            Some((a, b)) => {
-                let lo: u32 = a.trim().parse().map_err(|_| format!("bad range {item:?}"))?;
-                let hi: u32 = b.trim().parse().map_err(|_| format!("bad range {item:?}"))?;
-                if lo > hi {
-                    return Err(format!("inverted range {item:?}"));
-                }
-                out.extend(lo..=hi);
-            }
-            None => out.push(item.parse().map_err(|_| format!("bad host id {item:?}"))?),
-        }
-    }
-    Ok(out)
 }
 
 /// Coarse counters an abstract node reports in place of the full
@@ -699,30 +623,6 @@ mod tests {
         assert_eq!(m.of(7), Fidelity::Abstract);
         assert_eq!(m.of(8), Fidelity::Full);
         assert!(m.any_abstract(16));
-    }
-
-    #[test]
-    fn parse_grammar() {
-        assert_eq!(FidelityMap::parse("full").unwrap(), FidelityMap::full());
-        let m = FidelityMap::parse("abstract").unwrap();
-        assert_eq!(m.of(0), Fidelity::Abstract);
-        assert_eq!(m.fabric(), Fidelity::Full);
-
-        let m = FidelityMap::parse("abstract:4-15,20").unwrap();
-        assert_eq!(m.of(0), Fidelity::Full);
-        assert_eq!(m.of(4), Fidelity::Abstract);
-        assert_eq!(m.of(15), Fidelity::Abstract);
-        assert_eq!(m.of(16), Fidelity::Full);
-        assert_eq!(m.of(20), Fidelity::Abstract);
-
-        let m = FidelityMap::parse("full:0-3;fabric=abstract").unwrap();
-        assert_eq!(m.of(0), Fidelity::Full);
-        assert_eq!(m.of(4), Fidelity::Abstract);
-        assert_eq!(m.fabric(), Fidelity::Abstract);
-
-        assert!(FidelityMap::parse("med").is_err());
-        assert!(FidelityMap::parse("full:9-2").is_err());
-        assert!(FidelityMap::parse("full;fabric=med").is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! let delta = tel.delta_since(&before);     // counters subtracted
 //! println!("{}", delta.to_table());
 //! std::fs::write("trace.json", tel.export_perfetto())?;  // ui.perfetto.dev
-//! tel.audit()?;                             // invariant check
+//! cluster.audit()?;                         // invariant check
 //! ```
 //!
 //! Metric names are `host3.nic.retransmits`-style dotted paths: a host
@@ -102,17 +102,9 @@ impl<'a> ClusterTelemetry<'a> {
         }
     }
 
-    /// Check every cross-layer invariant observed so far (exactly-once
-    /// delivery, credit conservation, channel discipline, frame
-    /// accounting) plus live-state checks. `Err` carries a full report.
-    /// Forwards to [`Cluster::audit`].
-    pub fn audit(&self) -> Result<(), String> {
-        self.c.audit()
-    }
-
     /// Enable or disable the automatic debug-build invariant audit at
     /// run boundaries. Mutation tests that provoke violations on purpose
-    /// disable it and inspect [`Self::audit`] directly.
+    /// disable it and inspect [`Cluster::audit`] directly.
     pub fn set_debug_audit(&self, on: bool) {
         self.c.set_debug_audit_flag(on);
     }

@@ -886,15 +886,6 @@ impl World {
         &self.hosts[h].full_ref(h).sched
     }
 
-    /// User-level endpoint state on host `h` (None when the endpoint does
-    /// not exist or the host is abstract).
-    pub fn user_state(&self, h: usize, ep: EpId) -> Option<&UserEpState> {
-        match &self.hosts[h] {
-            HostSlot::Full(f) => f.user.get(&ep),
-            HostSlot::Abstract(_) => None,
-        }
-    }
-
     /// User-level endpoint state on host `h`, created if absent (panics
     /// on an abstract host).
     pub(crate) fn user_entry(&mut self, h: usize, ep: EpId) -> &mut UserEpState {

@@ -563,11 +563,6 @@ impl Auditor {
         }
     }
 
-    /// Admitted bytes charged to `tenant` in `epoch` so far.
-    pub fn tenant_epoch_bytes(&self, tenant: u32, epoch: u64) -> u64 {
-        self.tenant_bytes.get(&(tenant, epoch)).copied().unwrap_or(0)
-    }
-
     // ------------------------------------------------------------- credits
 
     /// Request `uid` from `(host, ep)` consumed a credit toward

@@ -484,11 +484,6 @@ impl Telemetry {
         self.dropped_spans
     }
 
-    /// Number of span events currently held.
-    pub fn span_events(&self) -> usize {
-        self.spans.len()
-    }
-
     // ---------------------------------------------------- shard split/merge
 
     /// A fresh log for one shard of a parallel run: same span capacity,
